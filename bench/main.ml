@@ -1326,23 +1326,23 @@ let emission_comparison () =
     let encoded = E.Csp_encode.encode enc csp in
     let cnf = encoded.E.Csp_encode.cnf in
     let stats = E.Encoding_stats.predict enc ~k in
-    Eng.Json.Obj
+    Obs.Json.Obj
       [
-        ("vars", Eng.Json.Int (Sat.Cnf.num_vars cnf));
-        ("clauses", Eng.Json.Int (Sat.Cnf.num_clauses cnf));
-        ("lits", Eng.Json.Int (Sat.Cnf.num_lits cnf));
+        ("vars", Obs.Json.Int (Sat.Cnf.num_vars cnf));
+        ("clauses", Obs.Json.Int (Sat.Cnf.num_clauses cnf));
+        ("lits", Obs.Json.Int (Sat.Cnf.num_lits cnf));
         ( "conflict_lits_per_edge",
-          Eng.Json.Int stats.E.Encoding_stats.conflict_literals_per_edge );
+          Obs.Json.Int stats.E.Encoding_stats.conflict_literals_per_edge );
         ( "aux_vars_per_csp_var",
-          Eng.Json.Int stats.E.Encoding_stats.aux_vars_per_csp_var );
+          Obs.Json.Int stats.E.Encoding_stats.aux_vars_per_csp_var );
       ]
   in
   List.map
     (fun name ->
       let enc = encoding name in
-      Eng.Json.Obj
+      Obs.Json.Obj
         [
-          ("encoding", Eng.Json.String name);
+          ("encoding", Obs.Json.String name);
           ("flat", side (E.Encoding.flat enc));
           ("defs", side (E.Encoding.defs enc));
         ])
@@ -1351,16 +1351,16 @@ let emission_comparison () =
 let section_encode_bench () =
   let m = measure_encode () in
   print_endline
-    (Eng.Json.to_string
-       (Eng.Json.Obj
+    (Obs.Json.to_string
+       (Obs.Json.Obj
           [
-            ("vars", Eng.Json.Int m.em_vars);
-            ("clauses", Eng.Json.Int m.em_clauses);
-            ("lits", Eng.Json.Int m.em_lits);
-            ("encode_s", Eng.Json.Float m.em_encode_s);
-            ("load_s", Eng.Json.Float m.em_load_s);
-            ("words_alloc", Eng.Json.Int m.em_words_alloc);
-            ("emissions", Eng.Json.List (emission_comparison ()));
+            ("vars", Obs.Json.Int m.em_vars);
+            ("clauses", Obs.Json.Int m.em_clauses);
+            ("lits", Obs.Json.Int m.em_lits);
+            ("encode_s", Obs.Json.Float m.em_encode_s);
+            ("load_s", Obs.Json.Float m.em_load_s);
+            ("words_alloc", Obs.Json.Int m.em_words_alloc);
+            ("emissions", Obs.Json.List (emission_comparison ()));
           ]))
 
 (* ------------------------------------------------------------------ *)

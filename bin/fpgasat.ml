@@ -377,17 +377,10 @@ let portfolio_cmd =
          & info [ "members" ] ~docv:"S1,S2,..."
              ~doc:"Portfolio members (default: the paper's 3-strategy portfolio).")
   in
-  let simulate_arg =
-    Arg.(value & flag
-         & info [ "simulate" ]
-             ~doc:"Sequential deterministic simulation (default: really \
-                   parallel on the bounded domain pool).")
-  in
-  let run spec width members simulate jobs budget =
+  let run spec width members jobs budget =
     let inst = build_instance spec in
-    let mode = if simulate then `Simulated else `Parallel in
     let result =
-      Eng.Portfolio.run ~mode ?jobs ~budget:(budget_of budget) members
+      Eng.Portfolio.run ?jobs ~budget:(budget_of budget) members
         inst.F.Benchmarks.route ~width
     in
     List.iter
@@ -410,8 +403,8 @@ let portfolio_cmd =
   in
   Cmd.v
     (Cmd.info "portfolio" ~doc:"Run a portfolio of strategies on one width query.")
-    Term.(ret (const run $ benchmark_pos $ width_arg $ members_arg $ simulate_arg
-               $ jobs_arg $ budget_arg))
+    Term.(ret (const run $ benchmark_pos $ width_arg $ members_arg $ jobs_arg
+               $ budget_arg))
 
 (* ---------- sweep ---------- *)
 

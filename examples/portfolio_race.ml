@@ -50,7 +50,7 @@ let () =
   print_endline "3-strategy portfolio on parallel domains:";
   let t0 = Unix.gettimeofday () in
   let result =
-    P.run ~mode:`Parallel ~budget C.Strategy.paper_portfolio_3
+    P.run ~budget C.Strategy.paper_portfolio_3
       inst.F.Benchmarks.route ~width:(w - 1)
   in
   let portfolio_wall = Unix.gettimeofday () -. t0 in

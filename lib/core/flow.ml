@@ -47,70 +47,72 @@ let timed f =
   let result = f () in
   (result, Unix.gettimeofday () -. t0)
 
-let solve_csp strategy budget proof csp =
-  let encoded, to_cnf =
-    timed (fun () ->
-        E.Csp_encode.encode ?symmetry:strategy.Strategy.symmetry
-          strategy.Strategy.encoding csp)
-  in
-  let (result, stats), solving =
-    timed (fun () ->
-        Sat.Solver.solve ~config:strategy.Strategy.solver ~budget ?proof
-          encoded.E.Csp_encode.cnf)
-  in
-  let answer =
-    match result with
-    | Sat.Solver.Sat model ->
-        let coloring = E.Csp_encode.decode encoded model in
-        if not (E.Csp.solution_ok csp coloring) then
-          raise (Decode_mismatch "decoded colouring is not proper")
-        else `Colorable (coloring, model)
-    | Sat.Solver.Unsat -> `Uncolorable
-    | Sat.Solver.Unknown -> `Timeout
-    | Sat.Solver.Memout -> `Memout
-  in
-  (answer, encoded, stats, to_cnf, solving)
+let decode encoded csp model =
+  let coloring = E.Csp_encode.decode encoded model in
+  if not (E.Csp.solution_ok csp coloring) then
+    raise (Decode_mismatch "decoded colouring is not proper");
+  coloring
 
-(* The DPLL backend is the retry ladder's last rung: no learnt-clause
-   database, so a cell that memouts under CDCL may still finish here. The
-   only budget DPLL understands is a decision bound, so [max_conflicts]
-   stands in for it; no proof is recorded. *)
-let solve_csp_dpll strategy budget csp =
-  let encoded, to_cnf =
-    timed (fun () ->
-        E.Csp_encode.encode ?symmetry:strategy.Strategy.symmetry
-          strategy.Strategy.encoding csp)
-  in
-  let max_decisions =
-    Option.value budget.Sat.Solver.max_conflicts ~default:2_000_000
-  in
-  let result, solving =
-    timed (fun () -> Sat.Dpll.solve ~max_decisions encoded.E.Csp_encode.cnf)
-  in
-  let answer =
-    match result with
-    | Sat.Dpll.Sat model ->
-        let coloring = E.Csp_encode.decode encoded model in
-        if not (E.Csp.solution_ok csp coloring) then
-          raise (Decode_mismatch "decoded colouring is not proper")
-        else `Colorable (coloring, model)
-    | Sat.Dpll.Unsat -> `Uncolorable
-    | Sat.Dpll.Unknown -> `Timeout
-  in
-  (answer, encoded, Sat.Stats.create (), to_cnf, solving)
+let metered ~telemetry f =
+  if not telemetry then (f (), None)
+  else
+    let alloc0 = Gc.allocated_bytes () in
+    let result = f () in
+    let words =
+      (Gc.allocated_bytes () -. alloc0) /. float_of_int (Sys.word_size / 8)
+    in
+    (result, Some (int_of_float words))
 
-let color_graph ?(strategy = Strategy.best_single)
-    ?(budget = Sat.Solver.no_budget) graph ~k =
-  let csp, to_graph = timed (fun () -> E.Csp.make graph ~k) in
-  let answer, _encoded, _stats, to_cnf, solving =
-    solve_csp strategy budget None csp
-  in
-  let answer =
+type answer =
+  [ `Colorable of G.Coloring.t | `Uncolorable | `Timeout | `Memout ]
+
+let finish ?certify ?proof ?words_allocated ~strategy
+    ~cnf_size:(cnf_vars, cnf_clauses) ~timings ~stats route ~width
+    (answer : answer) =
+  let outcome =
     match answer with
-    | `Colorable (coloring, _model) -> `Colorable coloring
-    | (`Uncolorable | `Timeout | `Memout) as a -> a
+    | `Colorable coloring -> (
+        match F.Detailed_route.of_coloring route ~width coloring with
+        | Ok detailed -> Routable detailed
+        | Error violation ->
+            raise
+              (Decode_mismatch
+                 (Format.asprintf "detailed routing rejected: %a"
+                    F.Detailed_route.pp_violation violation)))
+    | `Uncolorable -> Unroutable
+    | `Timeout -> Timeout
+    | `Memout -> Memout
   in
-  (answer, { to_graph; to_cnf; solving })
+  let certified =
+    match (certify, answer) with
+    | Some (cnf, Sat.Solver.Sat model), `Colorable coloring ->
+        Some
+          (Sat.Solver.check_model cnf model
+          && Result.is_ok (F.Detailed_route.verify route ~width coloring))
+    | Some (cnf, _), `Uncolorable -> (
+        match proof with
+        | Some p -> Some (Result.is_ok (Sat.Drat_check.check cnf p))
+        | None -> Some false)
+    | _ -> None
+  in
+  let telemetry =
+    Option.map
+      (fun words_allocated ->
+        Obs.Telemetry.of_stats ~solving:timings.solving ~words_allocated stats)
+      words_allocated
+  in
+  {
+    outcome;
+    timings;
+    width;
+    strategy;
+    cnf_vars;
+    cnf_clauses;
+    solver_stats = stats;
+    proof;
+    certified;
+    telemetry;
+  }
 
 type request = {
   strategy : Strategy.t;
@@ -141,6 +143,22 @@ let with_telemetry telemetry r = { r with telemetry }
 let with_trace trace r = { r with trace = Some trace }
 let with_backend backend r = { r with backend }
 
+(* The DPLL backend is the retry ladder's last rung: no learnt-clause
+   database, so a cell that memouts under CDCL may still finish here. The
+   only budget DPLL understands is a decision bound, so [max_conflicts]
+   stands in for it; no proof is recorded. *)
+let solve_dpll budget cnf =
+  let max_decisions =
+    Option.value budget.Sat.Solver.max_conflicts ~default:2_000_000
+  in
+  let result =
+    match Sat.Dpll.solve ~max_decisions cnf with
+    | Sat.Dpll.Sat model -> Sat.Solver.Sat model
+    | Sat.Dpll.Unsat -> Sat.Solver.Unsat
+    | Sat.Dpll.Unknown -> Sat.Solver.Unknown
+  in
+  (result, Sat.Stats.create ())
+
 let submit
     { strategy; budget; want_proof; certify; telemetry; trace; backend } route
     ~width =
@@ -152,77 +170,50 @@ let submit
     | None -> budget
     | Some tr -> Sat.Solver.with_event_hook (Obs.Trace.sink tr) budget
   in
-  let (graph, csp), to_graph =
-    timed (fun () ->
-        let graph = F.Conflict_graph.build route in
-        (graph, E.Csp.make graph ~k:width))
+  let csp, to_graph =
+    timed (fun () -> E.Csp.make (F.Conflict_graph.build route) ~k:width)
   in
-  ignore graph;
-  let proof =
+  let proof, solve =
     match backend with
-    | `Dpll -> None
     | `Cdcl ->
-        if want_proof || certify then Some (Sat.Proof.create ()) else None
+        let proof =
+          if want_proof || certify then Some (Sat.Proof.create ()) else None
+        in
+        ( proof,
+          fun cnf ->
+            Sat.Solver.solve ~config:strategy.Strategy.solver ~budget ?proof cnf
+        )
+    | `Dpll -> (None, solve_dpll budget)
   in
   Obs.Trace.record_opt trace Obs.Trace.Solve_begin width 0;
-  let alloc0 = if telemetry then Gc.allocated_bytes () else 0. in
-  let answer, encoded, stats, to_cnf, solving =
-    match backend with
-    | `Cdcl -> solve_csp strategy budget proof csp
-    | `Dpll -> solve_csp_dpll strategy budget csp
-  in
-  let telemetry =
-    if telemetry then
-      let words_allocated =
-        int_of_float
-          ((Gc.allocated_bytes () -. alloc0)
-          /. float_of_int (Sys.word_size / 8))
-      in
-      Some (Obs.Telemetry.of_stats ~solving ~words_allocated stats)
-    else None
+  (* telemetry spans encode, solve and decode *)
+  let (encoded, result, answer, to_cnf, stats, solving), words_allocated =
+    metered ~telemetry (fun () ->
+        let encoded, to_cnf =
+          timed (fun () ->
+              E.Csp_encode.encode ?symmetry:strategy.Strategy.symmetry
+                strategy.Strategy.encoding csp)
+        in
+        let (result, stats), solving =
+          timed (fun () -> solve encoded.E.Csp_encode.cnf)
+        in
+        let answer =
+          match result with
+          | Sat.Solver.Sat model -> `Colorable (decode encoded csp model)
+          | Sat.Solver.Unsat -> `Uncolorable
+          | Sat.Solver.Unknown -> `Timeout
+          | Sat.Solver.Memout -> `Memout
+        in
+        (encoded, result, answer, to_cnf, stats, solving))
   in
   let cnf = encoded.E.Csp_encode.cnf in
-  let outcome, certified =
-    match answer with
-    | `Colorable (coloring, model) -> (
-        match F.Detailed_route.of_coloring route ~width coloring with
-        | Ok detailed ->
-            let certified =
-              if certify then
-                Some
-                  (Sat.Solver.check_model cnf model
-                  && Result.is_ok (F.Detailed_route.verify route ~width coloring))
-              else None
-            in
-            (Routable detailed, certified)
-        | Error violation ->
-            raise
-              (Decode_mismatch
-                 (Format.asprintf "detailed routing rejected: %a"
-                    F.Detailed_route.pp_violation violation)))
-    | `Uncolorable ->
-        let certified =
-          if certify then
-            match proof with
-            | Some p -> Some (Result.is_ok (Sat.Drat_check.check cnf p))
-            | None -> Some false
-          else None
-        in
-        (Unroutable, certified)
-    | `Timeout -> (Timeout, None)
-    | `Memout -> (Memout, None)
+  let run =
+    finish
+      ?certify:(if certify then Some (cnf, result) else None)
+      ?proof ?words_allocated ~strategy
+      ~cnf_size:(Sat.Cnf.num_vars cnf, Sat.Cnf.num_clauses cnf)
+      ~timings:{ to_graph; to_cnf; solving } ~stats route ~width answer
   in
   Obs.Trace.record_opt trace Obs.Trace.Solve_end width
-    (if decisive outcome then 1 else 0);
-  {
-    outcome;
-    timings = { to_graph; to_cnf; solving };
-    width;
-    strategy;
-    cnf_vars = Sat.Cnf.num_vars cnf;
-    cnf_clauses = Sat.Cnf.num_clauses cnf;
-    solver_stats = stats;
-    proof;
-    certified;
-    telemetry;
-  }
+    (if decisive run.outcome then 1 else 0);
+  run

@@ -59,6 +59,53 @@ exception Decode_mismatch of string
 (** A SAT model failed to decode into a proper colouring or a legal detailed
     routing — would indicate an encoding bug; never expected. *)
 
+(** {1 From solver answer to run}
+
+    The second half of the flow, shared by every way of reaching an answer:
+    the cold pipeline ({!submit}, under either backend), the warm
+    incremental ladder ({!Incremental_width.query}) and the solve server's
+    sessions, including their solver-free greedy answers. *)
+
+val decode :
+  Fpgasat_encodings.Csp_encode.t ->
+  Fpgasat_encodings.Csp.t ->
+  bool array ->
+  Fpgasat_graph.Coloring.t
+(** [decode encoded csp model] reads the colouring out of a model of
+    [encoded] and checks that it is proper for [csp]. Raises
+    {!Decode_mismatch} when it is not. *)
+
+val metered : telemetry:bool -> (unit -> 'a) -> 'a * int option
+(** Runs the thunk and, only when [telemetry], also returns the words it
+    allocated — the [words_allocated] to hand to {!finish}. *)
+
+type answer =
+  [ `Colorable of Fpgasat_graph.Coloring.t | `Uncolorable | `Timeout | `Memout ]
+(** A width query's verdict, before it becomes a {!run}. *)
+
+val finish :
+  ?certify:Fpgasat_sat.Cnf.t * Fpgasat_sat.Solver.result ->
+  ?proof:Fpgasat_sat.Proof.t ->
+  ?words_allocated:int ->
+  strategy:Strategy.t ->
+  cnf_size:int * int ->
+  timings:timings ->
+  stats:Fpgasat_sat.Stats.t ->
+  Fpgasat_fpga.Global_route.t ->
+  width:int ->
+  answer ->
+  run
+(** Turns an answer into a {!run}: a colouring becomes a detailed routing
+    of the global route (raising {!Decode_mismatch} when the architecture
+    rejects it). [certify] is the CNF the answer was solved on and the
+    solver's result: when given, a colouring is certified by
+    {!Fpgasat_sat.Solver.check_model} plus
+    {!Fpgasat_fpga.Detailed_route.verify} and an [`Uncolorable] answer by
+    checking [proof] with {!Fpgasat_sat.Drat_check} ([Some false] without
+    one). [words_allocated] is given exactly when telemetry was asked for;
+    the telemetry then rates [stats] over [timings.solving]. [cnf_size] is
+    the [(vars, clauses)] of the encoded problem. *)
+
 (** {1 Requests}
 
     Everything a width query can be asked to do, as one value. This is the
@@ -115,13 +162,3 @@ val submit : request -> Fpgasat_fpga.Global_route.t -> width:int -> run
 (** Decides detailed routability of a global routing with [width] tracks,
     as specified by the request. Raises [Invalid_argument] when
     [width < 1]. *)
-
-val color_graph :
-  ?strategy:Strategy.t ->
-  ?budget:Fpgasat_sat.Solver.budget ->
-  Fpgasat_graph.Graph.t ->
-  k:int ->
-  [ `Colorable of Fpgasat_graph.Coloring.t | `Uncolorable | `Timeout | `Memout ]
-  * timings
-(** The same engine on a bare colouring problem (used by benches operating
-    directly on conflict graphs, and by the binary search). *)

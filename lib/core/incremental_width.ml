@@ -3,7 +3,6 @@ module G = Fpgasat_graph
 module E = Fpgasat_encodings
 
 type ladder = {
-  strategy : Strategy.t;
   csp : E.Csp.t;
   encoded : E.Csp_encode.t;
   solver : Sat.Solver.solver;
@@ -45,7 +44,6 @@ let prepare ?(strategy = Strategy.best_single) graph =
   done;
   let solver = Sat.Solver.create ~config:strategy.Strategy.solver cnf in
   {
-    strategy;
     csp;
     encoded;
     solver;
@@ -59,7 +57,6 @@ let prepare ?(strategy = Strategy.best_single) graph =
 let bounds ladder = (ladder.lower, ladder.upper)
 let queries ladder = ladder.queries
 let stats ladder = Sat.Solver.solver_stats ladder.solver
-let strategy ladder = ladder.strategy
 let cnf_hash ladder = ladder.cnf_hash
 
 let cnf_size ladder =
@@ -81,12 +78,28 @@ let query ?(budget = Sat.Solver.no_budget) ladder ~width =
   | Sat.Solver.Q_unknown -> `Timeout
   | Sat.Solver.Q_memout -> `Memout
   | Sat.Solver.Q_sat model ->
-      let coloring = E.Csp_encode.decode ladder.encoded model in
-      if not (E.Csp.solution_ok ladder.csp coloring) then
-        raise
-          (Flow.Decode_mismatch
-             "incremental query: decoded colouring is not proper")
-      else `Colorable coloring
+      `Colorable (Flow.decode ladder.encoded ladder.csp model)
+
+(* walk downward; a model using fewer colours lets us skip widths, and
+   [best] always holds a colouring within [w + 1] colours *)
+let walk_down ?(budget = Sat.Solver.no_budget) ladder =
+  let rec walk w best =
+    let settled () =
+      match best with
+      | Some coloring -> Ok (w + 1, coloring)
+      | None -> Error "DSATUR width came out uncolourable"
+    in
+    if w < ladder.lower then settled ()
+    else
+      match query ~budget ladder ~width:w with
+      | `Uncolorable -> settled ()
+      | `Timeout -> Error "budget exhausted during width search"
+      | `Memout -> Error "memory budget exhausted during width search"
+      | `Colorable coloring ->
+          let used = G.Coloring.num_colors coloring in
+          walk (min (w - 1) (used - 1)) (Some coloring)
+  in
+  walk ladder.upper None
 
 type search_result = {
   w_min : int;
@@ -95,31 +108,13 @@ type search_result = {
   stats : Sat.Stats.t;
 }
 
-let minimal_colors ?strategy ?(budget = Sat.Solver.no_budget) graph =
+let minimal_colors ?strategy ?budget graph =
   match prepare ?strategy graph with
   | exception Invalid_argument m -> Error m
   | ladder -> (
-      (* walk downward; a model using fewer colours lets us skip widths *)
-      let rec walk w best =
-        if w < ladder.lower then
-          match best with
-          | Some coloring -> Ok (w + 1, coloring)
-          | None -> Error "internal error: no colouring recorded"
-        else
-          match query ~budget ladder ~width:w with
-          | exception Flow.Decode_mismatch _ ->
-              Error "decoded colouring failed verification"
-          | `Uncolorable -> (
-              match best with
-              | Some coloring -> Ok (w + 1, coloring)
-              | None -> Error "DSATUR width came out uncolourable")
-          | `Timeout -> Error "budget exhausted during width search"
-          | `Memout -> Error "memory budget exhausted during width search"
-          | `Colorable coloring ->
-              let used = G.Coloring.num_colors coloring in
-              walk (min (w - 1) (used - 1)) (Some coloring)
-      in
-      match walk ladder.upper None with
+      match walk_down ?budget ladder with
+      | exception Flow.Decode_mismatch _ ->
+          Error "decoded colouring failed verification"
       | Error _ as err -> err
       | Ok (w_min, coloring) ->
           Ok { w_min; coloring; queries = ladder.queries; stats = stats ladder })

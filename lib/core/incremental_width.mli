@@ -33,13 +33,14 @@ val query :
   ?budget:Fpgasat_sat.Solver.budget ->
   ladder ->
   width:int ->
-  [ `Colorable of Fpgasat_graph.Coloring.t | `Uncolorable | `Timeout | `Memout ]
+  Flow.answer
 (** Is the graph colourable with [width] colours? The budget applies to
     this query alone; learnt clauses persist across queries. Widths above
     the ladder's upper bound are answered at the upper bound (equivalent:
-    a colouring within fewer colours fits a fortiori). Raises
-    [Invalid_argument] when [width < 1] and {!Flow.Decode_mismatch} if a
-    model fails to decode into a proper colouring. *)
+    a colouring within fewer colours fits a fortiori). Models are read
+    through {!Flow.decode}. Raises [Invalid_argument] when [width < 1] and
+    {!Flow.Decode_mismatch} if a model fails to decode into a proper
+    colouring. *)
 
 val bounds : ladder -> int * int
 (** [(lower, upper)]: the clique lower bound and DSATUR upper bound the
@@ -52,8 +53,6 @@ val stats : ladder -> Fpgasat_sat.Stats.t
 (** The shared solver's cumulative statistics — snapshot around a {!query}
     to attribute per-query work. *)
 
-val strategy : ladder -> Strategy.t
-
 val cnf_hash : ladder -> int64
 (** {!Fpgasat_sat.Cnf.structural_hash} of the encoded problem CNF (before
     selector augmentation) — the content part of the server's answer-cache
@@ -63,6 +62,17 @@ val cnf_size : ladder -> int * int
 (** [(vars, clauses)] of the encoded problem CNF, for run records. *)
 
 (** {1 Minimal-width search} *)
+
+val walk_down :
+  ?budget:Fpgasat_sat.Solver.budget ->
+  ladder ->
+  (int * Fpgasat_graph.Coloring.t, string) result
+(** The minimal-width walk both {!minimal_colors} and the solve server's
+    warm [min_width] run: query the ladder from its upper bound downward,
+    skipping to just below the colours each model actually used, until a
+    width is uncolourable or the clique lower bound is passed. Returns the
+    minimal width with a proper colouring in that many colours. The budget
+    applies per query; raises {!Flow.Decode_mismatch} as {!query} does. *)
 
 type search_result = {
   w_min : int;
@@ -77,5 +87,5 @@ val minimal_colors :
   Fpgasat_graph.Graph.t ->
   (search_result, string) result
 (** Minimal number of colours of a conflict graph (= minimal channel width
-    of the routing it came from), walking a {!ladder} downward. The budget
-    applies per query. *)
+    of the routing it came from): {!walk_down} on a fresh {!ladder}. The
+    budget applies per query. *)

@@ -1,5 +1,6 @@
 module Sat = Fpgasat_sat
 module C = Fpgasat_core
+module Json = Fpgasat_obs.Json
 
 type fault =
   | Raise_at_conflict of int

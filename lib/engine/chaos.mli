@@ -117,7 +117,7 @@ module Server : sig
 
   val check_invariants :
     expected_workers:int ->
-    stats:Json.t ->
+    stats:Fpgasat_obs.Json.t ->
     pairs:(string * string) list ->
     (unit, string) result
   (** Assert the crash-only contract after a fault: [stats] (the server's

@@ -11,11 +11,8 @@
     queues to test the supervisor itself; {!Portfolio} races strategies on
     the same pool with first-answer-wins cancellation; {!Lockfile} is the
     advisory single-writer pid lock shared by the sweep's [--out] file and
-    the solve server's cache journal; {!Json} re-exports the
-    dependency-free JSON substrate, which now lives in
-    [Fpgasat_obs.Json]. *)
+    the solve server's cache journal. *)
 
-module Json = Json
 module Lockfile = Lockfile
 module Pool = Pool
 module Run_record = Run_record

@@ -8,82 +8,42 @@ type member_result = {
 }
 
 type t = { winner : member_result option; members : member_result list }
-type mode = [ `Parallel | `Simulated ]
 
-let decisive m = C.Flow.decisive m.run.C.Flow.outcome
-
-let pick_winner ~by members =
-  List.filter decisive members
-  |> List.sort (fun a b -> compare (by a) (by b))
-  |> function
-  | [] -> None
-  | best :: _ -> Some best
-
-let run_one budget strategy route ~width =
-  let t0 = Unix.gettimeofday () in
-  let request =
-    C.Flow.(default_request |> with_strategy strategy |> with_budget budget)
-  in
-  let run = C.Flow.submit request route ~width in
-  { strategy; run; wall_seconds = Unix.gettimeofday () -. t0 }
-
-let members_of_results strategies results =
-  List.map2
-    (fun strategy result ->
-      match result with
-      | Ok m -> m
-      | Error e ->
-          failwith
-            (Printf.sprintf "Portfolio.run: member %s raised: %s"
-               (C.Strategy.name strategy) e.Pool.message))
-    strategies
-    (Array.to_list results)
-
-let run ?(mode = `Parallel) ?jobs ?poll_every
-    ?(budget = Sat.Solver.no_budget) strategies route ~width =
+let run ?jobs ?(budget = Sat.Solver.no_budget) strategies route ~width =
   if strategies = [] then invalid_arg "Portfolio.run: empty";
-  let budget =
-    match poll_every with
-    | None -> budget
-    | Some n -> Sat.Solver.with_poll_interval n budget
+  let stop = Atomic.make false in
+  let first = Atomic.make (-1) in
+  let budget = Sat.Solver.interruptible (fun () -> Atomic.get stop) budget in
+  let request = C.Flow.(default_request |> with_budget budget) in
+  let worker i strategy () =
+    let t0 = Unix.gettimeofday () in
+    let run =
+      C.Flow.submit (C.Flow.with_strategy strategy request) route ~width
+    in
+    if C.Flow.decisive run.C.Flow.outcome then begin
+      ignore (Atomic.compare_and_set first (-1) i);
+      Atomic.set stop true
+    end;
+    { strategy; run; wall_seconds = Unix.gettimeofday () -. t0 }
   in
-  match mode with
-  | `Simulated ->
-      let thunks =
-        Array.of_list
-          (List.map (fun s () -> run_one budget s route ~width) strategies)
-      in
-      let members = members_of_results strategies (Pool.map ~jobs:1 thunks) in
-      (* deterministic accounting: cheapest decisive member by CPU time *)
-      {
-        winner =
-          pick_winner ~by:(fun m -> C.Flow.total m.run.C.Flow.timings) members;
-        members;
-      }
-  | `Parallel ->
-      let stop = Atomic.make false in
-      let first = Atomic.make (-1) in
-      let budget =
-        Sat.Solver.interruptible (fun () -> Atomic.get stop) budget
-      in
-      let worker i strategy () =
-        let result = run_one budget strategy route ~width in
-        if decisive result then begin
-          ignore (Atomic.compare_and_set first (-1) i);
-          Atomic.set stop true
-        end;
-        result
-      in
-      let thunks =
-        Array.of_list (List.mapi (fun i s -> worker i s) strategies)
-      in
-      let members = members_of_results strategies (Pool.map ?jobs thunks) in
-      (* first-answer-wins: the member whose decisive answer landed first in
-         real time (CAS order), not whichever happens to report the smaller
-         wall time after the fact *)
-      let winner =
-        match Atomic.get first with
-        | -1 -> pick_winner ~by:(fun m -> m.wall_seconds) members
-        | i -> Some (List.nth members i)
-      in
-      { winner; members }
+  let results =
+    Pool.map ?jobs (Array.of_list (List.mapi worker strategies))
+  in
+  let members =
+    List.map2
+      (fun strategy result ->
+        match result with
+        | Ok m -> m
+        | Error e ->
+            failwith
+              (Printf.sprintf "Portfolio.run: member %s raised: %s"
+                 (C.Strategy.name strategy) e.Pool.message))
+      strategies (Array.to_list results)
+  in
+  (* first-answer-wins: the member whose decisive answer landed first in
+     real time (CAS order), not whichever happens to report the smaller
+     wall time after the fact. No decisive member leaves [first] at -1. *)
+  let winner =
+    match Atomic.get first with -1 -> None | i -> Some (List.nth members i)
+  in
+  { winner; members }

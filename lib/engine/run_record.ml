@@ -1,5 +1,6 @@
 module Sat = Fpgasat_sat
 module Obs = Fpgasat_obs
+module Json = Obs.Json
 module C = Fpgasat_core
 
 type outcome =

@@ -122,8 +122,8 @@ val decisive : t -> bool
 val total_seconds : t -> float
 (** Paper-style total CPU time: graph + CNF + solving. *)
 
-val to_json : t -> Json.t
-val of_json : Json.t -> (t, string) result
+val to_json : t -> Fpgasat_obs.Json.t
+val of_json : Fpgasat_obs.Json.t -> (t, string) result
 val to_line : t -> string
 (** One JSON line, without the trailing newline. *)
 

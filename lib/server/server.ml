@@ -210,113 +210,96 @@ let record_json ~benchmark ~wall_seconds run =
 
 (* ---------- request execution (runs on a pool worker) ---------- *)
 
-(* [suspect] is the per-request channel from worker to conn thread: the
+(* The admission path both width ops share: session lookup, the request's
+   cache key, quarantine refusal, the [kill_worker] test fault and deadline
+   shedding. Only an admitted request reaches [serve session key].
+
+   [suspect] is the per-request channel from worker to conn thread: the
    worker writes the request's structural hash before anything can crash,
    so when the ticket comes back as a worker death the conn thread knows
    which content to blame. The ticket's own mutex orders the write before
    the read. *)
+let admit server (req : P.request) strategy ~arrival ~suspect ~kill_worker
+    ~width ~certify serve =
+  match get_session server ~benchmark:req.P.benchmark strategy with
+  | Error m -> P.response ?id:req.P.id ~message:m P.Failed
+  | Ok session -> (
+      let key =
+        Session.cache_key session ~width
+          ~budget_signature:(P.budget_signature req) ~certify
+      in
+      let hash = structural_hash_of_key key in
+      suspect := Some hash;
+      if poison_count server hash >= quarantine_threshold then begin
+        Atomic.incr server.counters.quarantined;
+        P.response ?id:req.P.id
+          ~message:
+            (Printf.sprintf
+               "quarantined: requests on this problem killed %d workers"
+               (poison_count server hash))
+          P.Failed
+      end
+      else begin
+        if kill_worker then raise Eng.Pool.Persistent.Worker_killed;
+        match shed_expired server req ~arrival with
+        | Some shed -> shed
+        | None -> serve session key
+      end)
+
 let run_route server (req : P.request) strategy ~arrival ~suspect ~kill_worker
     =
   let t0 = Unix.gettimeofday () in
-  match get_session server ~benchmark:req.P.benchmark strategy with
-  | Error m -> P.response ?id:req.P.id ~message:m P.Failed
-  | Ok session -> (
-      let key =
-        Session.cache_key session ~width:req.P.width
-          ~budget_signature:(P.budget_signature req) ~certify:req.P.certify
-      in
-      let hash = structural_hash_of_key key in
-      suspect := Some hash;
-      if poison_count server hash >= quarantine_threshold then begin
-        Atomic.incr server.counters.quarantined;
-        P.response ?id:req.P.id
-          ~message:
-            (Printf.sprintf
-               "quarantined: requests on this problem killed %d workers"
-               (poison_count server hash))
-          P.Failed
-      end
-      else begin
-        if kill_worker then raise Eng.Pool.Persistent.Worker_killed;
-        match shed_expired server req ~arrival with
-        | Some shed -> shed
-        | None -> (
-            match Answer_cache.find server.cache key with
-            | Some run ->
-                Atomic.incr server.counters.cache_hits;
-                P.response ?id:req.P.id ~served_by:P.Cache ~run P.Done
-            | None ->
-                let budget = effective_budget server req ~arrival in
-                Obs.Trace.record server.trace Obs.Trace.Solve_begin
-                  req.P.width 0;
-                let run, served_by =
-                  if req.P.certify then begin
-                    (* a warm UNSAT is relative to selector assumptions —
-                       not a standalone refutation — so certified answers
-                       take the full cold pipeline *)
-                    Atomic.incr server.counters.cold;
-                    let request =
-                      C.Flow.(
-                        default_request |> with_strategy strategy
-                        |> with_budget budget |> with_certify true
-                        |> with_telemetry req.P.telemetry)
-                    in
-                    ( C.Flow.submit request (Session.route session)
-                        ~width:req.P.width,
-                      P.Cold )
-                  end
-                  else begin
-                    Atomic.incr server.counters.warm;
-                    ( Session.route_warm ~budget ~telemetry:req.P.telemetry
-                        session ~width:req.P.width,
-                      P.Warm )
-                  end
-                in
-                Obs.Trace.record server.trace Obs.Trace.Solve_end req.P.width
-                  (if C.Flow.decisive run.C.Flow.outcome then 1 else 0);
-                let wall_seconds = Unix.gettimeofday () -. t0 in
-                let json =
-                  record_json ~benchmark:req.P.benchmark ~wall_seconds run
-                in
-                (* only decisive answers are cacheable: a timeout says
-                   nothing about a retry *)
-                if C.Flow.decisive run.C.Flow.outcome then
-                  Answer_cache.add server.cache key json;
-                P.response ?id:req.P.id ~served_by ~run:json P.Done)
-      end)
+  admit server req strategy ~arrival ~suspect ~kill_worker ~width:req.P.width
+    ~certify:req.P.certify (fun session key ->
+      match Answer_cache.find server.cache key with
+      | Some run ->
+          Atomic.incr server.counters.cache_hits;
+          P.response ?id:req.P.id ~served_by:P.Cache ~run P.Done
+      | None ->
+          let budget = effective_budget server req ~arrival in
+          Obs.Trace.record server.trace Obs.Trace.Solve_begin req.P.width 0;
+          let run, served_by =
+            if req.P.certify then begin
+              (* a warm UNSAT is relative to selector assumptions — not a
+                 standalone refutation — so certified answers take the full
+                 cold pipeline *)
+              Atomic.incr server.counters.cold;
+              let request =
+                C.Flow.(
+                  default_request |> with_strategy strategy
+                  |> with_budget budget |> with_certify true
+                  |> with_telemetry req.P.telemetry)
+              in
+              ( C.Flow.submit request (Session.route session)
+                  ~width:req.P.width,
+                P.Cold )
+            end
+            else begin
+              Atomic.incr server.counters.warm;
+              ( Session.route_warm ~budget ~telemetry:req.P.telemetry session
+                  ~width:req.P.width,
+                P.Warm )
+            end
+          in
+          Obs.Trace.record server.trace Obs.Trace.Solve_end req.P.width
+            (if C.Flow.decisive run.C.Flow.outcome then 1 else 0);
+          let wall_seconds = Unix.gettimeofday () -. t0 in
+          let json = record_json ~benchmark:req.P.benchmark ~wall_seconds run in
+          (* only decisive answers are cacheable: a timeout says nothing
+             about a retry *)
+          if C.Flow.decisive run.C.Flow.outcome then
+            Answer_cache.add server.cache key json;
+          P.response ?id:req.P.id ~served_by ~run:json P.Done)
 
 let run_min_width server (req : P.request) strategy ~arrival ~suspect
     ~kill_worker =
-  match get_session server ~benchmark:req.P.benchmark strategy with
-  | Error m -> P.response ?id:req.P.id ~message:m P.Failed
-  | Ok session -> (
-      let key =
-        Session.cache_key session ~width:0
-          ~budget_signature:(P.budget_signature req) ~certify:false
-      in
-      let hash = structural_hash_of_key key in
-      suspect := Some hash;
-      if poison_count server hash >= quarantine_threshold then begin
-        Atomic.incr server.counters.quarantined;
-        P.response ?id:req.P.id
-          ~message:
-            (Printf.sprintf
-               "quarantined: requests on this problem killed %d workers"
-               (poison_count server hash))
-          P.Failed
-      end
-      else begin
-        if kill_worker then raise Eng.Pool.Persistent.Worker_killed;
-        match shed_expired server req ~arrival with
-        | Some shed -> shed
-        | None -> (
-            let budget = effective_budget server req ~arrival in
-            Atomic.incr server.counters.warm;
-            match Session.min_width ~budget session with
-            | Ok w ->
-                P.response ?id:req.P.id ~served_by:P.Warm ~min_width:w P.Done
-            | Error m -> P.response ?id:req.P.id ~message:m P.Failed)
-      end)
+  admit server req strategy ~arrival ~suspect ~kill_worker ~width:0
+    ~certify:false (fun session _key ->
+      let budget = effective_budget server req ~arrival in
+      Atomic.incr server.counters.warm;
+      match Session.min_width ~budget session with
+      | Ok w -> P.response ?id:req.P.id ~served_by:P.Warm ~min_width:w P.Done
+      | Error m -> P.response ?id:req.P.id ~message:m P.Failed)
 
 (* ---------- server stats ---------- *)
 

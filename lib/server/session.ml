@@ -2,7 +2,6 @@ module Sat = Fpgasat_sat
 module G = Fpgasat_graph
 module F = Fpgasat_fpga
 module C = Fpgasat_core
-module Obs = Fpgasat_obs
 
 type t = {
   benchmark : string;
@@ -17,7 +16,6 @@ type t = {
   cnf_hash : int64;
   prepare_seconds : float;
   mutex : Mutex.t;
-  mutable served : int;
 }
 
 let create ~benchmark strategy (inst : F.Benchmarks.instance) =
@@ -38,14 +36,12 @@ let create ~benchmark strategy (inst : F.Benchmarks.instance) =
     cnf_hash = C.Incremental_width.cnf_hash ladder;
     prepare_seconds = Unix.gettimeofday () -. t0;
     mutex = Mutex.create ();
-    served = 0;
   }
 
 let benchmark t = t.benchmark
 let strategy t = t.strategy
 let route t = t.route
 let bounds t = (t.lower, t.upper)
-let served t = t.served
 let prepare_seconds t = t.prepare_seconds
 
 let cache_key t ~width ~budget_signature ~certify =
@@ -80,93 +76,39 @@ let diff (before : Sat.Stats.t) (after : Sat.Stats.t) =
   d.Sat.Stats.peak_heap_words <- after.peak_heap_words;
   d
 
-let make_run t ~width ~solving ~stats ~telemetry_words outcome ~telemetry =
-  let telemetry =
-    if telemetry then
-      Some (Obs.Telemetry.of_stats ~solving ~words_allocated:telemetry_words stats)
-    else None
-  in
-  {
-    C.Flow.outcome;
-    (* graph and CNF translation are amortised over the session: this
-       query paid neither *)
-    timings = { C.Flow.to_graph = 0.; to_cnf = 0.; solving };
-    width;
-    strategy = t.strategy;
-    cnf_vars = t.cnf_vars;
-    cnf_clauses = t.cnf_clauses;
-    solver_stats = stats;
-    proof = None;
-    certified = None;
-    telemetry;
-  }
-
 let route_warm ?(budget = Sat.Solver.no_budget) ?(telemetry = false) t ~width =
   Mutex.lock t.mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mutex)
     (fun () ->
-      t.served <- t.served + 1;
+      (* graph and CNF translation are amortised over the session: this
+         query paid neither *)
+      let finish ~solving ~stats ?words_allocated answer =
+        C.Flow.finish ?words_allocated ~strategy:t.strategy
+          ~cnf_size:(t.cnf_vars, t.cnf_clauses)
+          ~timings:{ C.Flow.to_graph = 0.; to_cnf = 0.; solving }
+          ~stats t.route ~width answer
+      in
       if width >= t.upper then
         (* the DSATUR colouring already fits: answer without touching the
            solver *)
-        match F.Detailed_route.of_coloring t.route ~width t.greedy with
-        | Ok detailed ->
-            make_run t ~width ~solving:0. ~stats:(Sat.Stats.create ())
-              ~telemetry_words:0 (C.Flow.Routable detailed) ~telemetry
-        | Error violation ->
-            raise
-              (C.Flow.Decode_mismatch
-                 (Format.asprintf "greedy colouring rejected: %a"
-                    F.Detailed_route.pp_violation violation))
+        finish ~solving:0. ~stats:(Sat.Stats.create ())
+          ?words_allocated:(if telemetry then Some 0 else None)
+          (`Colorable t.greedy)
       else begin
         let before = snapshot (C.Incremental_width.stats t.ladder) in
-        let alloc0 = Gc.allocated_bytes () in
-        let t0 = Unix.gettimeofday () in
-        let answer = C.Incremental_width.query ~budget t.ladder ~width in
-        let solving = Unix.gettimeofday () -. t0 in
-        let words =
-          int_of_float
-            ((Gc.allocated_bytes () -. alloc0)
-            /. float_of_int (Sys.word_size / 8))
+        let (answer, solving), words_allocated =
+          C.Flow.metered ~telemetry (fun () ->
+              let t0 = Unix.gettimeofday () in
+              let answer = C.Incremental_width.query ~budget t.ladder ~width in
+              (answer, Unix.gettimeofday () -. t0))
         in
         let stats = diff before (snapshot (C.Incremental_width.stats t.ladder)) in
-        let outcome =
-          match answer with
-          | `Colorable coloring -> (
-              match F.Detailed_route.of_coloring t.route ~width coloring with
-              | Ok detailed -> C.Flow.Routable detailed
-              | Error violation ->
-                  raise
-                    (C.Flow.Decode_mismatch
-                       (Format.asprintf "detailed routing rejected: %a"
-                          F.Detailed_route.pp_violation violation)))
-          | `Uncolorable -> C.Flow.Unroutable
-          | `Timeout -> C.Flow.Timeout
-          | `Memout -> C.Flow.Memout
-        in
-        make_run t ~width ~solving ~stats ~telemetry_words:words outcome
-          ~telemetry
+        finish ~solving ~stats ?words_allocated answer
       end)
 
 let min_width ?(budget = Sat.Solver.no_budget) t =
   Mutex.lock t.mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
-      t.served <- t.served + 1;
-      let rec walk w best =
-        if w < t.lower then Ok (w + 1)
-        else
-          match C.Incremental_width.query ~budget t.ladder ~width:w with
-          | `Uncolorable -> (
-              match best with
-              | Some _ -> Ok (w + 1)
-              | None -> Error "upper bound came out uncolourable")
-          | `Timeout -> Error "budget exhausted during width search"
-          | `Memout -> Error "memory budget exhausted during width search"
-          | `Colorable coloring ->
-              let used = G.Coloring.num_colors coloring in
-              walk (min (w - 1) (used - 1)) (Some coloring)
-      in
-      walk t.upper None)
+    (fun () -> Result.map fst (C.Incremental_width.walk_down ~budget t.ladder))

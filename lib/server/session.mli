@@ -30,9 +30,6 @@ val route : t -> Fpgasat_fpga.Global_route.t
 val bounds : t -> int * int
 (** Clique lower bound and DSATUR upper bound. *)
 
-val served : t -> int
-(** Requests this session has answered. *)
-
 val prepare_seconds : t -> float
 (** Wall cost of {!create} — the amortised cold cost warm queries skip. *)
 
@@ -49,17 +46,19 @@ val route_warm :
   t ->
   width:int ->
   Fpgasat_core.Flow.run
-(** Answers a width query on the warm ladder and synthesises a
-    {!Fpgasat_core.Flow.run} whose solver statistics are this query's
+(** Answers a width query on the warm ladder and assembles the
+    {!Fpgasat_core.Flow.run} through {!Fpgasat_core.Flow.finish}, the same
+    path cold answers take. Its solver statistics are this query's
     {e delta} (cumulative counters snapshotted around the call);
     [timings.to_graph] and [timings.to_cnf] are 0 — the session already
-    paid them. Widths at or above the DSATUR upper bound are answered from
-    the stored greedy colouring without touching the solver. Raises
-    {!Fpgasat_core.Flow.Decode_mismatch} on a decode failure (isolated by
-    the server's worker pool). *)
+    paid them — and telemetry, when asked for, covers the query alone.
+    Widths at or above the DSATUR upper bound are answered from the stored
+    greedy colouring without touching the solver. Warm answers are never
+    certified. Raises {!Fpgasat_core.Flow.Decode_mismatch} on a decode
+    failure (isolated by the server's worker pool). *)
 
 val min_width :
   ?budget:Fpgasat_sat.Solver.budget -> t -> (int, string) result
-(** Minimal width by walking the warm ladder downward (the
-    {!Fpgasat_core.Incremental_width.minimal_colors} schedule, without
-    re-encoding). The budget applies per query. *)
+(** Minimal width by {!Fpgasat_core.Incremental_width.walk_down} on the
+    warm ladder — the walk {!Fpgasat_core.Incremental_width.minimal_colors}
+    runs, without re-encoding. The budget applies per query. *)

@@ -134,15 +134,36 @@ let test_flow_rejects_bad_width () =
   Alcotest.check_raises "width 0" (Invalid_argument "Flow.submit: width < 1")
     (fun () -> ignore (Flow.submit Flow.default_request small_route ~width:0))
 
-let test_color_graph_at_upper_bound () =
-  let answer, _ = Flow.color_graph small_graph ~k:small_ub in
-  (match answer with
-  | `Colorable coloring ->
-      Alcotest.(check bool) "proper" true
-        (G.Coloring.is_proper small_graph ~k:small_ub coloring)
-  | `Uncolorable -> Alcotest.fail "upper bound must be colourable"
-  | `Timeout | `Memout -> Alcotest.fail "no budget");
-  ()
+(* The sweep supervisor's last fallback rung: DPLL through the same
+   pipeline must agree with CDCL, certify its models, and refuse to certify
+   an UNSAT it has no proof for. Plain DPLL exhausts its decision bound at
+   this graph's DSATUR width under most encodings; muldirect/s1 decides it
+   in well under a second. *)
+let test_flow_dpll_backend () =
+  let verdict backend width =
+    let run =
+      Flow.(
+        submit
+          (default_request
+          |> with_strategy (strategy "muldirect/s1")
+          |> with_backend backend |> with_certify true))
+        small_route ~width
+    in
+    (Flow.outcome_name run.Flow.outcome, run)
+  in
+  let check_width width ~expect ~certified =
+    let cdcl, _ = verdict `Cdcl width in
+    let dpll, run = verdict `Dpll width in
+    let ctx = Printf.sprintf "width %d" width in
+    Alcotest.(check string) (ctx ^ ": dpll verdict") expect dpll;
+    Alcotest.(check string) (ctx ^ ": dpll agrees with cdcl") cdcl dpll;
+    Alcotest.(check (option bool)) (ctx ^ ": certified") certified
+      run.Flow.certified;
+    Alcotest.(check bool) (ctx ^ ": no proof") true (run.Flow.proof = None)
+  in
+  check_width small_ub ~expect:"routable" ~certified:(Some true);
+  if G.Graph.num_edges small_graph > 0 then
+    check_width 1 ~expect:"unroutable" ~certified:(Some false)
 
 (* --- binary search --- *)
 
@@ -294,7 +315,7 @@ let () =
           Alcotest.test_case "all encodings agree" `Slow test_flow_all_encodings_agree;
           Alcotest.test_case "budget timeout" `Quick test_flow_budget_timeout;
           Alcotest.test_case "bad width rejected" `Quick test_flow_rejects_bad_width;
-          Alcotest.test_case "color_graph" `Quick test_color_graph_at_upper_bound;
+          Alcotest.test_case "dpll backend" `Quick test_flow_dpll_backend;
         ] );
       ( "binary-search",
         [

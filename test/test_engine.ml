@@ -8,7 +8,7 @@ module E = Fpgasat_encodings
 module F = Fpgasat_fpga
 module C = Fpgasat_core
 module Eng = Fpgasat_engine
-module Json = Eng.Json
+module Json = Fpgasat_obs.Json
 module Pool = Eng.Pool
 module Run_record = Eng.Run_record
 module Sweep = Eng.Sweep
@@ -546,23 +546,10 @@ let strategy_roundtrip_prop =
 
 (* ---------- Portfolio ---------- *)
 
-let test_portfolio_simulated () =
-  let width = max 1 (small_ub - 1) in
-  let p = P.run ~mode:`Simulated Strategy.paper_portfolio_3 small_route ~width in
-  Alcotest.(check int) "all members ran" 3 (List.length p.P.members);
-  match p.P.winner with
-  | None -> Alcotest.fail "no winner without budgets"
-  | Some w ->
-      let w_time = Flow.total w.P.run.Flow.timings in
-      List.iter
-        (fun m ->
-          Alcotest.(check bool) "winner is fastest" true
-            (w_time <= Flow.total m.P.run.Flow.timings +. 1e-9))
-        p.P.members
-
 let test_portfolio_members_agree () =
   let width = max 1 (small_ub - 1) in
-  let p = P.run ~mode:`Simulated Strategy.paper_portfolio_3 small_route ~width in
+  let p = P.run Strategy.paper_portfolio_3 small_route ~width in
+  Alcotest.(check int) "all members ran" 3 (List.length p.P.members);
   let verdicts =
     List.filter_map
       (fun m ->
@@ -578,7 +565,7 @@ let test_portfolio_members_agree () =
 
 let test_portfolio_parallel () =
   let width = max 1 (small_ub - 1) in
-  let p = P.run ~mode:`Parallel Strategy.paper_portfolio_2 small_route ~width in
+  let p = P.run Strategy.paper_portfolio_2 small_route ~width in
   Alcotest.(check int) "two members" 2 (List.length p.P.members);
   match p.P.winner with
   | None -> Alcotest.fail "parallel portfolio found no answer"
@@ -652,7 +639,6 @@ let () =
         ] );
       ( "portfolio",
         [
-          Alcotest.test_case "simulated" `Quick test_portfolio_simulated;
           Alcotest.test_case "members agree" `Quick test_portfolio_members_agree;
           Alcotest.test_case "parallel" `Quick test_portfolio_parallel;
           Alcotest.test_case "empty rejected" `Quick test_portfolio_empty_rejected;

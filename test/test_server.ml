@@ -632,25 +632,42 @@ let test_warm_agrees_with_cold () =
   let lower, upper = Srv.Session.bounds session in
   Alcotest.(check bool) "bounds sane" true (1 <= lower && lower <= upper);
   (* probe a band of widths around the transition *)
+  let cnf_size =
+    C.Incremental_width.(
+      cnf_size (prepare ~strategy:strat alu2.F.Benchmarks.graph))
+  in
+  (* widths >= upper take the greedy branch, the rest the solver *)
   let widths =
     List.filter (fun w -> w >= 1) [ upper + 1; upper; upper - 1; upper - 2 ]
   in
   List.iter
     (fun w ->
+      let ctx what = Printf.sprintf "width %d %s" w what in
       let warm = Srv.Session.route_warm session ~width:w in
+      let metered = Srv.Session.route_warm ~telemetry:true session ~width:w in
       let cold =
         C.Flow.(submit (default_request |> with_strategy strat))
           alu2.F.Benchmarks.route ~width:w
       in
       let name o = C.Flow.outcome_name o in
-      Alcotest.(check string)
-        (Printf.sprintf "width %d verdict" w)
-        (name cold.C.Flow.outcome)
+      Alcotest.(check string) (ctx "verdict") (name cold.C.Flow.outcome)
         (name warm.C.Flow.outcome);
-      (* warm runs report only solving time; encode/graph are amortised *)
-      Alcotest.(check bool) "warm timings amortised" true
-        (warm.C.Flow.timings.C.Flow.to_graph = 0.
-        && warm.C.Flow.timings.C.Flow.to_cnf = 0.);
+      Alcotest.(check string) (ctx "metered verdict") (name warm.C.Flow.outcome)
+        (name metered.C.Flow.outcome);
+      Alcotest.(check bool) (ctx "telemetry only when asked") true
+        (warm.C.Flow.telemetry = None && metered.C.Flow.telemetry <> None);
+      List.iter
+        (fun (run : C.Flow.run) ->
+          Alcotest.(check (option bool)) (ctx "never certified") None
+            run.C.Flow.certified;
+          Alcotest.(check bool) (ctx "no proof") true (run.C.Flow.proof = None);
+          Alcotest.(check (pair int int)) (ctx "session CNF size") cnf_size
+            (run.C.Flow.cnf_vars, run.C.Flow.cnf_clauses);
+          (* warm runs report only solving time; encode/graph are amortised *)
+          Alcotest.(check bool) (ctx "timings amortised") true
+            (run.C.Flow.timings.C.Flow.to_graph = 0.
+            && run.C.Flow.timings.C.Flow.to_cnf = 0.))
+        [ warm; metered ];
       (* below the greedy bound the ladder drives the solver through
          assumption selector levels; the max_decision_level watermark must
          count them even when no free decision happens (it used to track
@@ -693,6 +710,24 @@ let test_warm_min_width_agrees_with_search () =
       Alcotest.(check int) "warm min_width = binary search w_min"
         r.C.Binary_search.w_min warm
   | Error m -> Alcotest.fail m
+
+(* The server's warm min_width and the library's minimal_colors share one
+   walk over the ladder. *)
+let test_warm_min_width_agrees_with_minimal_colors () =
+  List.iter
+    (fun sname ->
+      let strat = strategy sname in
+      let session = Srv.Session.create ~benchmark:"alu2" strat alu2 in
+      match
+        ( Srv.Session.min_width session,
+          C.Incremental_width.minimal_colors ~strategy:strat
+            alu2.F.Benchmarks.graph )
+      with
+      | Ok warm, Ok search ->
+          Alcotest.(check int) (sname ^ ": same w_min")
+            search.C.Incremental_width.w_min warm
+      | Error m, _ | _, Error m -> Alcotest.fail (sname ^ ": " ^ m))
+    [ "direct@siege"; "ITE-linear-2+muldirect/s1" ]
 
 (* ---------- the server over a real socket ---------- *)
 
@@ -1345,6 +1380,8 @@ let () =
             test_warm_agrees_with_cold;
           Alcotest.test_case "warm min_width agrees with search" `Slow
             test_warm_min_width_agrees_with_search;
+          Alcotest.test_case "warm min_width agrees with minimal_colors"
+            `Slow test_warm_min_width_agrees_with_minimal_colors;
         ] );
       ( "server",
         [
