@@ -21,17 +21,20 @@ let pattern_lits t v value = lits_of_pattern t v t.layout.Layout.patterns.(value
 
 (* Emission goes through the Cnf clause builder: literals are pushed into
    the arena's scratch buffer directly, so no intermediate lists (or the
-   [@] concatenations the conflict clauses used to pay for) are built. *)
-let push_pattern t v pattern =
-  List.iter
-    (fun (s, pol) -> Sat.Cnf.push_lit t.cnf (Sat.Lit.make (boolean_var t v s) pol))
-    pattern
+   [@] concatenations the conflict clauses used to pay for) are built.
+   Plain recursion rather than [List.iter] keeps the per-clause path free
+   of closure allocation. *)
+let rec push_pattern t v = function
+  | [] -> ()
+  | (s, pol) :: rest ->
+      Sat.Cnf.push_lit t.cnf (Sat.Lit.make (boolean_var t v s) pol);
+      push_pattern t v rest
 
-let push_negated t v pattern =
-  List.iter
-    (fun (s, pol) ->
-      Sat.Cnf.push_lit t.cnf (Sat.Lit.make (boolean_var t v s) (not pol)))
-    pattern
+let rec push_negated t v = function
+  | [] -> ()
+  | (s, pol) :: rest ->
+      Sat.Cnf.push_lit t.cnf (Sat.Lit.make (boolean_var t v s) (not pol));
+      push_negated t v rest
 
 (* Definitional emission: the literal standing for "variable [v] selects
    [value]" — the pattern's definition for len >= 2 (eagerly created, so
@@ -43,10 +46,41 @@ let selection_lit t ctx v value =
   | [ (s, pol) ] -> Some (Sat.Lit.make (boolean_var t v s) pol)
   | pattern -> Some (Emit.conj ctx Emit.Neg (lits_of_pattern t v pattern))
 
+(* The CNF's final (literals, clauses): Encoding_stats' totals plus one
+   clause per forbidden (vertex, colour) pair, which holds the colour's
+   negated pattern under flat emission and its negated selection literal
+   (none for the empty pattern) under definitional emission. *)
+let size layout emission csp forbidden =
+  let stats = Encoding_stats.of_layout ~emission layout in
+  let num_vertices = Csp.num_variables csp in
+  let num_edges = G.Graph.num_edges csp.Csp.graph in
+  let symmetry_literal_count (_, colour) =
+    let len = List.length layout.Layout.patterns.(colour) in
+    match emission with
+    | Encoding.Flat -> len
+    | Encoding.Definitional -> min len 1
+  in
+  let symmetry_literals =
+    List.fold_left (fun acc p -> acc + symmetry_literal_count p) 0 forbidden
+  in
+  ( Encoding_stats.total_literals stats ~num_vertices ~num_edges
+    + symmetry_literals,
+    Encoding_stats.total_clauses stats ~num_vertices ~num_edges
+    + List.length forbidden )
+
 let encode ?symmetry encoding csp =
   let layout = Encoding.layout encoding csp.Csp.k in
   let n = Csp.num_variables csp in
-  let cnf = Sat.Cnf.create () in
+  let forbidden =
+    match symmetry with
+    | None -> []
+    | Some h -> Symmetry.forbidden h csp.Csp.graph ~k:csp.Csp.k
+  in
+  let cnf =
+    Sat.Cnf.create
+      ~capacity:(size layout (Encoding.emission encoding) csp forbidden)
+      ()
+  in
   Sat.Cnf.ensure_vars cnf (n * layout.Layout.num_slots);
   let emit =
     match Encoding.emission encoding with
@@ -105,23 +139,17 @@ let encode ?symmetry encoding csp =
       done)
     t.csp.Csp.graph;
   (* symmetry-breaking clauses *)
-  (match symmetry with
-  | None -> ()
-  | Some h ->
-      List.iter
-        (fun (v, colour) ->
-          match emit with
-          | None ->
-              Sat.Cnf.start_clause cnf;
-              push_negated t v layout.Layout.patterns.(colour);
-              Sat.Cnf.commit_clause cnf
-          | Some ctx ->
-              Sat.Cnf.start_clause cnf;
-              (match selection_lit t ctx v colour with
-              | Some d -> Sat.Cnf.push_lit cnf (Sat.Lit.negate d)
-              | None -> ());
-              Sat.Cnf.commit_clause cnf)
-        (Symmetry.forbidden h csp.Csp.graph ~k:csp.Csp.k));
+  List.iter
+    (fun (v, colour) ->
+      Sat.Cnf.start_clause cnf;
+      (match emit with
+      | None -> push_negated t v layout.Layout.patterns.(colour)
+      | Some ctx -> (
+          match selection_lit t ctx v colour with
+          | Some d -> Sat.Cnf.push_lit cnf (Sat.Lit.negate d)
+          | None -> ()));
+      Sat.Cnf.commit_clause cnf)
+    forbidden;
   t
 
 let definition t v value =

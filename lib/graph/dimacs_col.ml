@@ -2,6 +2,12 @@ exception Parse_error of string
 
 let fail line msg = raise (Parse_error (Printf.sprintf "line %d: %s" line msg))
 
+let max_vertices = 1 lsl 22
+
+(* The header is untrusted input. Its vertex count sizes the graph
+   (isolated vertices appear nowhere else), so it is refused above
+   [max_vertices] before anything is allocated; its edge count sizes
+   nothing and is ignored. *)
 let parse_lines lines =
   let graph = ref None in
   let handle_line lineno line =
@@ -19,6 +25,11 @@ let parse_lines lines =
           match rest with
           | [ "edge"; n; _m ] | [ "edges"; n; _m ] -> (
               match int_of_string_opt n with
+              | Some n when n > max_vertices ->
+                  fail lineno
+                    (Printf.sprintf
+                       "header declares %d vertices, more than the %d supported" n
+                       max_vertices)
               | Some n when n >= 0 -> graph := Some (Graph.create n)
               | Some _ | None -> fail lineno "bad vertex count")
           | _ -> fail lineno "malformed p edge header")

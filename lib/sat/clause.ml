@@ -22,7 +22,7 @@ type t = {
   mutable wasted : int;
 }
 
-let create ?(capacity = 1024) () =
+let create capacity =
   { arena = Array.make (max capacity header_words) 0; fill = 0; wasted = 0 }
 
 let fill t = t.fill
@@ -75,14 +75,13 @@ let set_lbd t c lbd =
 let activity t c = activity_of_bits t.arena.(c + 2)
 let set_activity t c a = t.arena.(c + 2) <- bits_of_activity a
 
-let alloc ?(learnt = false) t lits =
-  let n = Array.length lits in
+let alloc ?(learnt = false) t src off n =
   ensure t (header_words + n);
   let c = t.fill in
   t.arena.(c) <- n;
   t.arena.(c + 1) <- (if learnt then flag_learnt else 0);
   t.arena.(c + 2) <- bits_of_activity 0.;
-  Array.blit lits 0 t.arena (c + header_words) n;
+  Array.blit src off t.arena (c + header_words) n;
   t.fill <- c + header_words + n;
   c
 

@@ -28,7 +28,10 @@ val header_words : int
 type t
 (** The arena. *)
 
-val create : ?capacity:int -> unit -> t
+val create : int -> t
+(** [create capacity] is an empty arena of [capacity] words; it doubles
+    when an {!alloc} overflows it. *)
+
 val fill : t -> int
 (** Words in use (including deleted clauses not yet compacted). *)
 
@@ -42,8 +45,10 @@ val raw : t -> int array
     is replaced whenever the arena grows or is compacted — never hold it
     across an {!alloc} or {!reloc}. *)
 
-val alloc : ?learnt:bool -> t -> Lit.t array -> cref
-(** Append a clause; activity 0, LBD 0. *)
+val alloc : ?learnt:bool -> t -> Lit.t array -> int -> int -> cref
+(** [alloc t src off len] appends the clause [src.(off) .. src.(off + len - 1)]
+    (activity 0, LBD 0), copying it straight from [src]: a caller holding a
+    whole clause array passes [(arr, 0, Array.length arr)]. *)
 
 val size : t -> cref -> int
 val lit : t -> cref -> int -> Lit.t

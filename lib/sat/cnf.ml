@@ -17,13 +17,13 @@ type t = {
 
 type view = { arena : int array; off : int; len : int }
 
-let create ?(capacity = 256) () =
+let create ?capacity:((lits, clauses) = (256, 64)) () =
   {
     nvars = 0;
-    lits = Array.make (max capacity 16) 0;
+    lits = Array.make (max lits 1) 0;
     nlits = 0;
-    offs = Array.make 64 0;
-    lens = Array.make 64 0;
+    offs = Array.make (max clauses 1) 0;
+    lens = Array.make (max clauses 1) 0;
     nclauses = 0;
     scratch = Array.make 16 0;
     slen = 0;
@@ -184,7 +184,7 @@ let append dst src =
   dst.nlits <- dst.nlits + src.nlits
 
 let copy t =
-  let c = create ~capacity:(max t.nlits 16) () in
+  let c = create ~capacity:(t.nlits, t.nclauses) () in
   append c t;
   c
 
@@ -221,8 +221,7 @@ let structural_hash t =
   done;
   !h
 
-let live_words t =
-  Array.length t.lits + (2 * Array.length t.offs) + Array.length t.scratch
+let live_words t = Array.length t.lits + (2 * Array.length t.offs)
 
 let pp_stats fmt t =
   Format.fprintf fmt "v=%d c=%d lits=%d" t.nvars t.nclauses t.nlits

@@ -19,9 +19,11 @@
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** [capacity] is the initial literal-arena size in words (default 256);
-    the arena doubles as needed. *)
+val create : ?capacity:int * int -> unit -> t
+(** [capacity = (literals, clauses)] sizes the literal arena in words and
+    the clause index in entries (default [(256, 64)]). Both double as
+    needed, so the hint is never a limit; a builder that knows its final
+    size passes it and never regrows. *)
 
 val fresh_var : t -> Lit.var
 (** Allocates the next unused variable. *)
@@ -105,7 +107,8 @@ val append : t -> t -> unit
     count to cover [src]'s. [src] is unchanged. *)
 
 val copy : t -> t
-(** An independent copy, arena sized exactly to the source's literals. *)
+(** An independent copy, its arena and clause index sized exactly to the
+    source's literals and clauses. *)
 
 val structural_hash : t -> int64
 (** A 64-bit FNV-1a hash of the formula's logical content: the variable
@@ -118,8 +121,10 @@ val structural_hash : t -> int64
     answer cache on this hash (× strategy × budget). *)
 
 val live_words : t -> int
-(** Words currently held by the arena and its indexes (capacity, not fill) —
-    the formula's resident memory footprint, for benchmarks. *)
+(** Words currently held by the literal arena and the clause index
+    (capacity, not fill): [literals + 2 * clauses] for a formula built at
+    its {!create} capacity without regrowing. The clause builder's scratch
+    buffer is not counted. *)
 
 val pp_stats : Format.formatter -> t -> unit
 (** One-line "v=… c=… lits=…" summary. *)

@@ -2,8 +2,15 @@ exception Parse_error of string
 
 let fail line msg = raise (Parse_error (Printf.sprintf "line %d: %s" line msg))
 
-(* Tokenise into ints, tracking line numbers for error messages; the header
-   determines how many variables to allocate, and each 0 closes a clause. *)
+let max_vars = 1 lsl 22
+
+(* Tokenise into ints, tracking line numbers for error messages; each 0
+   closes a clause. The header is untrusted input. Its clause count sizes
+   nothing: the literal arena and clause index grow with the clauses
+   actually read, and the count is only compared with them at the end. Its
+   variable count bounds the literals and becomes the formula's (unused
+   variables are part of a DIMACS formula), so it is refused above
+   [max_vars], which caps what a solver allocates per variable. *)
 let parse_lines lines =
   let cnf = Cnf.create () in
   let header = ref None in
@@ -20,7 +27,8 @@ let parse_lines lines =
             incr nclauses;
             current := []
         | Some d ->
-            if abs d > nv then
+            (* not [abs d]: [abs min_int] is negative *)
+            if d < -nv || d > nv then
               fail lineno
                 (Printf.sprintf "literal %d out of range (header says %d vars)" d nv);
             current := Lit.of_dimacs d :: !current)
@@ -34,6 +42,10 @@ let parse_lines lines =
       match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
       | [ "p"; "cnf"; nv; nc ] -> (
           match (int_of_string_opt nv, int_of_string_opt nc) with
+          | Some nv, _ when nv > max_vars ->
+              fail lineno
+                (Printf.sprintf "header declares %d variables, more than the %d supported"
+                   nv max_vars)
           | Some nv, Some nc when nv >= 0 && nc >= 0 ->
               header := Some (nv, nc);
               Cnf.ensure_vars cnf nv

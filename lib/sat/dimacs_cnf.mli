@@ -6,7 +6,15 @@
 
 exception Parse_error of string
 (** Raised with a human-readable message (including a line number) on
-    malformed input. *)
+    malformed input; malformed input of any kind raises this and nothing
+    else. *)
+
+val max_vars : int
+(** The largest variable count a header may declare (2{^22}, far above
+    any instance this tool builds). The header is never used to size the
+    clause store, but its variable count becomes the formula's, and a
+    solver allocates per variable; a larger declaration is a
+    {!Parse_error}. *)
 
 val parse_string : string -> Cnf.t
 val parse_file : string -> Cnf.t

@@ -169,13 +169,17 @@ let value_lit st l =
 
 let decision_level st = Vec.size st.trail_lim
 
-let create cfg nvars proof =
+(* The clause arena and the problem-clause index are sized for every clause
+   of [cnf] up front, so loading it never regrows either. *)
+let create cfg cnf proof =
+  let nvars = Cnf.num_vars cnf in
+  let nclauses = Cnf.num_clauses cnf in
   let activity = Array.make (max nvars 1) 0. in
   {
     cfg;
     nvars;
-    db = Clause.create ();
-    clauses = Vec.create ~dummy:Clause.cref_undef ();
+    db = Clause.create (Cnf.num_lits cnf + (Clause.header_words * nclauses));
+    clauses = Vec.create ~capacity:nclauses ~dummy:Clause.cref_undef ();
     learnts = Vec.create ~dummy:Clause.cref_undef ();
     watches = Array.init (max (2 * nvars) 1) (fun _ -> wl_create ());
     assigns = Array.make (max nvars 1) 0;
@@ -467,7 +471,7 @@ let record_proof_delete st c =
 let gc st =
   let db = st.db in
   let live = Clause.fill db - Clause.wasted db in
-  let ndb = Clause.create ~capacity:(max live 16) () in
+  let ndb = Clause.create (max live 16) in
   let remap vec =
     for i = 0 to Vec.size vec - 1 do
       Vec.set vec i (Clause.reloc ~src:db ~dst:ndb (Vec.get vec i))
@@ -561,12 +565,37 @@ exception Assumption_failed
 exception Out_of_budget
 exception Out_of_memory_budget
 
+(* Size each watch list for the clauses [load_clauses] is about to attach:
+   a clause of two or more literals is watched from the negations of its
+   first two. The count is taken on the CNF as given; when a level-0 unit
+   met during loading shifts a clause's first two literals, [wl_push] grows
+   the affected lists as usual. The counts accumulate in [wsize] until the
+   arrays are allocated. *)
+let size_watches st cnf =
+  let watches = st.watches in
+  Cnf.iter_clauses' cnf ~f:(fun arena off len ->
+      if len >= 2 then begin
+        let w0 = watches.(Lit.negate arena.(off)) in
+        let w1 = watches.(Lit.negate arena.(off + 1)) in
+        w0.wsize <- w0.wsize + 2;
+        w1.wsize <- w1.wsize + 2
+      end);
+  Array.iter
+    (fun w ->
+      if w.wsize > 0 then begin
+        w.wdata <- Array.make w.wsize 0;
+        w.wsize <- 0
+      end)
+    watches
+
 (* Load the problem clauses into a fresh state; level-0 units go straight
-   onto the trail, and [st.ok] turns false on an immediate conflict. Clause
-   views come straight from the CNF arena: satisfied clauses are skipped and
-   false literals dropped in a counting pass, and survivors are copied
-   directly into the solver's clause arena. *)
+   onto the trail, and [st.ok] turns false on an immediate conflict. A
+   counting pass per clause skips satisfied clauses and spots false
+   literals. A clause with none is copied once, straight from the CNF arena
+   into the solver's; only one that loses literals goes through [scratch].
+   Clauses and watches are attached in CNF order. *)
 let load_clauses st cnf =
+  size_watches st cnf;
   let scratch = ref [||] in
   Cnf.iter_clauses' cnf ~f:(fun arena off len ->
       if st.ok then begin
@@ -595,18 +624,23 @@ let load_clauses st cnf =
             end
           end
           else begin
-            if Array.length !scratch < !keep then
-              scratch := Array.make (max !keep 16) 0;
-            let out = !scratch in
-            let j = ref 0 in
-            for k = off to off + len - 1 do
-              let l = arena.(k) in
-              if value_lit st l = 0 then begin
-                out.(!j) <- l;
-                incr j
+            let c =
+              if !keep = len then Clause.alloc st.db arena off len
+              else begin
+                if Array.length !scratch < !keep then
+                  scratch := Array.make (max !keep 16) 0;
+                let out = !scratch in
+                let j = ref 0 in
+                for k = off to off + len - 1 do
+                  let l = arena.(k) in
+                  if value_lit st l = 0 then begin
+                    out.(!j) <- l;
+                    incr j
+                  end
+                done;
+                Clause.alloc st.db out 0 !keep
               end
-            done;
-            let c = Clause.alloc st.db (Array.sub out 0 !keep) in
+            in
             Vec.push st.clauses c;
             attach_clause st c
           end
@@ -629,7 +663,7 @@ type query_result =
   | Q_memout
 
 let create ?(config = default) ?proof cnf =
-  let st = create config (Cnf.num_vars cnf) proof in
+  let st = create config cnf proof in
   load_clauses st cnf;
   {
     st;
@@ -707,7 +741,7 @@ let install_strengthened st c out =
           raise Found_unsat
         end
     | _ ->
-        let nc = Clause.alloc st.db final in
+        let nc = Clause.alloc st.db final 0 !undef in
         attach_clause st nc;
         Vec.push st.clauses nc
   end
@@ -979,7 +1013,9 @@ let run_search s budget assumptions =
          cancel_until st blevel;
          (if Array.length learnt = 1 then enqueue st learnt.(0) Clause.cref_undef
           else begin
-            let c = Clause.alloc ~learnt:true st.db learnt in
+            let c =
+              Clause.alloc ~learnt:true st.db learnt 0 (Array.length learnt)
+            in
             Clause.set_lbd st.db c lbd;
             Vec.push st.learnts c;
             attach_clause st c;

@@ -292,6 +292,42 @@ let prop_stats_predict_exactly =
       && Sat.Cnf.num_lits encoded.E.Csp_encode.cnf
          = E.Encoding_stats.total_literals stats ~num_vertices:nv ~num_edges:ne)
 
+(* The encoder sizes its CNF from the prediction before emitting anything,
+   so the literal arena and the clause index are allocated once and never
+   regrow: the held words equal the prediction exactly. With symmetry
+   breaking, one clause per forbidden (vertex, colour) pair joins the
+   prediction. *)
+let test_encode_allocates_once () =
+  let n = 14 and k = 5 in
+  let edges =
+    List.init 40 (fun i -> (i mod n, ((7 * i) + 3) mod n))
+    |> List.filter (fun (u, v) -> u <> v)
+  in
+  let g = G.Graph.of_edges n edges in
+  let csp = E.Csp.make g ~k in
+  let nv = G.Graph.num_vertices g and ne = G.Graph.num_edges g in
+  let s1 = Option.get (Sym.of_name "s1") in
+  List.iter
+    (fun e ->
+      let stats = E.Encoding_stats.predict e ~k in
+      let lits = E.Encoding_stats.total_literals stats ~num_vertices:nv ~num_edges:ne in
+      let clauses = E.Encoding_stats.total_clauses stats ~num_vertices:nv ~num_edges:ne in
+      let cnf = (E.Csp_encode.encode e csp).E.Csp_encode.cnf in
+      Alcotest.(check int)
+        (Enc.name e ^ ": words held, no symmetry")
+        (lits + (2 * clauses))
+        (Sat.Cnf.live_words cnf);
+      let cnf = (E.Csp_encode.encode ~symmetry:s1 e csp).E.Csp_encode.cnf in
+      Alcotest.(check int)
+        (Enc.name e ^ "/s1: one clause per forbidden pair")
+        (clauses + List.length (Sym.forbidden s1 g ~k))
+        (Sat.Cnf.num_clauses cnf);
+      Alcotest.(check int)
+        (Enc.name e ^ "/s1: words held")
+        (Sat.Cnf.num_lits cnf + (2 * Sat.Cnf.num_clauses cnf))
+        (Sat.Cnf.live_words cnf))
+    stats_universe
+
 let test_stats_defs_binary_conflicts () =
   (* the acceptance criterion: under +defs, shared-pattern encodings pay 2
      conflict literals per edge per value *)
@@ -823,6 +859,8 @@ let () =
         Alcotest.test_case "examples" `Quick test_stats_examples
         :: Alcotest.test_case "defs conflicts are binary" `Quick
              test_stats_defs_binary_conflicts
+        :: Alcotest.test_case "encode allocates once" `Quick
+             test_encode_allocates_once
         :: qtests [ prop_stats_predict_exactly ] );
       ( "emit",
         [

@@ -181,7 +181,10 @@ let test_col_errors () =
   expect_col_error "p edge 2 1\ne 1 1\n";
   expect_col_error "p edge 2 1\np edge 2 1\n";
   expect_col_error "p edge 2 1\nx 1 2\n";
-  expect_col_error ""
+  expect_col_error "";
+  (* header sizes are untrusted: no allocation from an absurd count *)
+  expect_col_error "p edge 100000000000 0\n";
+  expect_col_error (Printf.sprintf "p edge %d 0\n" (G.Dimacs_col.max_vertices + 1))
 
 let test_col_comments () =
   let g = G.Dimacs_col.parse_string "c hi\np edge 3 1\nc mid\ne 1 2\n" in

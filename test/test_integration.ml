@@ -243,6 +243,35 @@ let test_greedy_vs_sat_optimality () =
       Alcotest.(check bool) "sat optimum <= dsatur" true
         (r.C.Binary_search.w_min <= dsatur_width)
 
+(* The solver is deterministic for a fixed CNF, so its work counters are
+   exact: they move only when the search changes or the order in which
+   clauses and watches reach it does. Pinned on two paper-shaped CNFs: alu2
+   one track below its minimum width of 6 (UNSAT, conflict-heavy) and a
+   generated routable instance at the gen-routable benchmark's width
+   (SAT, load-dominated). *)
+let work name graph ~k =
+  let s = strategy name in
+  let encoded =
+    E.Csp_encode.encode ?symmetry:s.C.Strategy.symmetry s.C.Strategy.encoding
+      (E.Csp.make graph ~k)
+  in
+  let _, stats =
+    Sat.Solver.solve ~config:s.C.Strategy.solver encoded.E.Csp_encode.cnf
+  in
+  Sat.Stats.(stats.decisions, stats.propagations, stats.conflicts)
+
+let test_exact_work_counters () =
+  let counters = Alcotest.(triple int int int) in
+  Alcotest.check counters "alu2 W=5 ITE-linear-2+muldirect/s1@siege" (924, 3170, 262)
+    (work "ITE-linear-2+muldirect/s1@siege" alu2.F.Benchmarks.graph ~k:5);
+  let params = { F.Generator.default_params with grid = 16; nets = 400; seed = 11 } in
+  let inst = F.Generator.build params F.Generator.Routable in
+  Alcotest.check counters
+    (F.Generator.name params F.Generator.Routable ^ " direct/s1@minisat")
+    (4293, 7344, 0)
+    (work "direct/s1@minisat" inst.F.Generator.graph
+       ~k:(inst.F.Generator.dsatur_bound + 2))
+
 let () =
   Alcotest.run "integration"
     [
@@ -267,5 +296,6 @@ let () =
             test_exact_coloring_agrees_on_benchmark;
           Alcotest.test_case "serial roundtrip verdict" `Quick
             test_serial_roundtrip_preserves_verdict;
+          Alcotest.test_case "exact work counters" `Quick test_exact_work_counters;
         ] );
     ]

@@ -178,6 +178,18 @@ let test_dimacs_errors () =
   (* malformed header *)
   expect_parse_error "p cnf 2 1\np cnf 2 1\n1 0\n" (* duplicate header *)
 
+(* Header sizes are untrusted: declarations a solver could never allocate
+   for, and a literal whose magnitude overflows, are parse errors rather
+   than Out_of_memory or Invalid_argument. *)
+let test_dimacs_hostile_headers () =
+  expect_parse_error "p cnf 100000000000 1\n1 0\n";
+  expect_parse_error (Printf.sprintf "p cnf %d 0\n" max_int);
+  expect_parse_error (Printf.sprintf "p cnf %d 0\n" (Dimacs.max_vars + 1));
+  expect_parse_error (Printf.sprintf "p cnf 1 1\n%d 0\n" min_int);
+  let cnf = Dimacs.parse_string (Printf.sprintf "p cnf %d 1\n1 0\n" Dimacs.max_vars) in
+  Alcotest.(check int) "largest declaration kept" Dimacs.max_vars (Cnf.num_vars cnf);
+  Alcotest.(check int) "clause store sized by the body" 1 (Cnf.num_lits cnf)
+
 let test_dimacs_clause_count_validated () =
   (* regression: a trailing clause missing its terminating 0 at EOF must not
      be silently dropped *)
@@ -444,6 +456,49 @@ let test_solver_deterministic () =
   Alcotest.(check int) "same decisions" s1.Fpgasat_sat.Stats.decisions
     s2.Fpgasat_sat.Stats.decisions
 
+let work_counters stats =
+  Fpgasat_sat.Stats.(stats.decisions, stats.propagations, stats.conflicts)
+
+(* PHP 6/5 with a guard variable [u] whose unit clause arrives mid-stream.
+   Pigeon clauses before the unit carry [~u] and load whole; those after it
+   carry [~u] and load shrunk; hole clauses carrying [u] are satisfied and
+   skipped. Exact decision, propagation and conflict counts pin the order in
+   which the solver's load step copies clauses and attaches watches. *)
+let test_solver_exact_work_mid_stream_unit () =
+  let pigeons = 6 and holes = 5 in
+  let cnf = Cnf.create () in
+  let x = Array.init pigeons (fun _ -> Cnf.fresh_vars cnf holes) in
+  let u = Cnf.fresh_var cnf in
+  let pigeon p = Array.to_list (Array.map Lit.pos x.(p)) in
+  for p = 0 to (pigeons / 2) - 1 do
+    Cnf.add_clause cnf (Lit.neg_of u :: pigeon p)
+  done;
+  Cnf.add_clause cnf [ Lit.pos u ];
+  for p = pigeons / 2 to pigeons - 1 do
+    Cnf.add_clause cnf (Lit.neg_of u :: pigeon p)
+  done;
+  for h = 0 to holes - 1 do
+    for p1 = 0 to pigeons - 1 do
+      for p2 = p1 + 1 to pigeons - 1 do
+        let clause = [ Lit.neg_of x.(p1).(h); Lit.neg_of x.(p2).(h) ] in
+        Cnf.add_clause cnf clause;
+        if (p1 + p2 + h) mod 3 = 0 then Cnf.add_clause cnf (Lit.pos u :: clause)
+      done
+    done
+  done;
+  List.iter
+    (fun (config, name, expected) ->
+      match Solver.solve ~config cnf with
+      | Solver.Unsat, stats ->
+          Alcotest.(check (triple int int int))
+            (name ^ ": decisions, propagations, conflicts")
+            expected (work_counters stats)
+      | _ -> Alcotest.fail "PHP 6/5 is UNSAT")
+    [
+      (Solver.minisat_like, "minisat", (175, 2087, 144));
+      (Solver.siege_like, "siege", (179, 2089, 144));
+    ]
+
 let prop_luby_structure =
   QCheck2.Test.make ~count:200 ~name:"Luby values are powers of two"
     QCheck2.Gen.(int_range 0 500)
@@ -685,6 +740,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_dimacs_roundtrip;
           Alcotest.test_case "multiline clause" `Quick test_dimacs_multiline_clause;
           Alcotest.test_case "malformed inputs rejected" `Quick test_dimacs_errors;
+          Alcotest.test_case "hostile headers rejected" `Quick
+            test_dimacs_hostile_headers;
           Alcotest.test_case "clause count validated" `Quick
             test_dimacs_clause_count_validated;
           Alcotest.test_case "comments and blanks" `Quick
@@ -723,6 +780,8 @@ let () =
           Alcotest.test_case "presets agree" `Quick test_solver_both_presets_agree;
           Alcotest.test_case "wide clauses" `Quick test_solver_wide_clauses;
           Alcotest.test_case "deterministic" `Quick test_solver_deterministic;
+          Alcotest.test_case "exact work, unit mid-stream" `Quick
+            test_solver_exact_work_mid_stream_unit;
         ] );
       qsuite "solver-properties"
         [

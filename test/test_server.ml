@@ -543,7 +543,7 @@ let test_budget_signature_distinguishes () =
 
 let test_structural_hash_ignores_provenance () =
   let build () =
-    let cnf = Sat.Cnf.create ~capacity:4 () in
+    let cnf = Sat.Cnf.create ~capacity:(4, 1) () in
     let v = Sat.Cnf.fresh_vars cnf 5 in
     Sat.Cnf.add_clause cnf [ Sat.Lit.pos v.(0); Sat.Lit.neg_of v.(1) ];
     Sat.Cnf.add_clause cnf [ Sat.Lit.pos v.(2) ];
