@@ -41,9 +41,11 @@
    the same Sweep pool (--jobs, --out, --resume, --budget and --certify
    all apply), per-strategy power-law exponents are fitted from the
    records (Fpgasat_obs.Fit), --scaling-out writes them as
-   fpgasat.scaling/1 JSON, and --scaling-baseline gates on the fitted
-   exponents — catching regressions in the growth rate, where the
-   fixed-cell perf gate above catches them in the constants. *)
+   fpgasat.scaling/1 JSON, and --baseline gates on the fitted exponents —
+   catching regressions in the growth rate, where the fixed-cell perf gate
+   catches them in the constants. Both gates are one Fpgasat_obs.Gate
+   check: each section declares the kind it is judged by where it is
+   measured. *)
 
 module Sat = Fpgasat_sat
 module G = Fpgasat_graph
@@ -72,13 +74,10 @@ let chaos = ref false
 let chaos_seed = ref 2008
 let bench_out = ref ""
 let baseline_file = ref ""
-let gate = ref 0.
 let perf_handicap = ref 0
 let scaling = ref false
 let scaling_grid = ref "smoke"
 let scaling_out = ref ""
-let scaling_baseline = ref ""
-let scaling_gate = ref 0.
 let scaling_handicap = ref 0
 let scaling_repeats = ref 2
 let scaling_strategies = ref "ITE-linear-2+muldirect/s1,muldirect/s1"
@@ -87,9 +86,8 @@ let usage =
   "main.exe [--budget SEC] [--sections a,b,c] [--jobs N] [--out FILE.jsonl] \
    [--resume] [--certify] [--chaos] [--chaos-seed N] [--bechamel] \
    [--encode-bench] [--bench-out FILE.json] [--baseline FILE.json] \
-   [--gate RATIO] [--perf-handicap N] [--scaling] [--scaling-grid smoke|full] \
-   [--scaling-out FILE.json] [--scaling-baseline FILE.json] \
-   [--scaling-gate TOL] [--scaling-handicap N] [--scaling-strategies LIST]"
+   [--perf-handicap N] [--scaling] [--scaling-grid smoke|full] \
+   [--scaling-out FILE.json] [--scaling-handicap N] [--scaling-strategies LIST]"
 
 let arg_spec =
   [
@@ -128,12 +126,9 @@ let arg_spec =
        cells) and write it as fpgasat.bench/1 JSON" );
     ( "--baseline",
       Arg.Set_string baseline_file,
-      "FILE compare the perf-gate matrix against this baseline and exit \
-       non-zero on regression" );
-    ( "--gate",
-      Arg.Set_float gate,
-      "RATIO regression tolerance for --baseline: fail when a section's \
-       geometric-mean slowdown exceeds it (default 1.25)" );
+      "FILE gate against this baseline and exit 1 on regression: the \
+       perf-gate matrix against a fpgasat.bench/1 file, or under --scaling \
+       the fitted exponents against a fpgasat.scaling/1 file" );
     ( "--perf-handicap",
       Arg.Set_int perf_handicap,
       "N deliberately slow every solve by N spin iterations per conflict \
@@ -149,14 +144,6 @@ let arg_spec =
     ( "--scaling-out",
       Arg.Set_string scaling_out,
       "FILE write the fitted exponents as fpgasat.scaling/1 JSON" );
-    ( "--scaling-baseline",
-      Arg.Set_string scaling_baseline,
-      "FILE compare fitted exponents against this baseline and exit \
-       non-zero when one regresses beyond tolerance" );
-    ( "--scaling-gate",
-      Arg.Set_float scaling_gate,
-      "TOL exponent tolerance for --scaling-baseline (absolute; default \
-       0.5)" );
     ( "--scaling-handicap",
       Arg.Set_int scaling_handicap,
       "N deliberately slow every scaling solve by a spin per conflict that \
@@ -236,22 +223,34 @@ let encoding name =
 (* ------------------------------------------------------------------ *)
 (* benchmark instances and their minimal widths, computed once         *)
 
+(* w_min per benchmark, memoised: the paper sections, the certify section
+   and both perf-gate sections key their widths off it. *)
+let w_min_cache : (string, int) Hashtbl.t = Hashtbl.create 8
+
+let w_min_of bench route =
+  match Hashtbl.find_opt w_min_cache bench with
+  | Some w -> w
+  | None ->
+      let w =
+        match
+          C.Binary_search.minimal_width ~strategy:Strategy.best_single
+            ~budget:(Sat.Solver.time_budget (4. *. !budget_seconds))
+            route
+        with
+        | Ok r -> r.C.Binary_search.w_min
+        | Error m ->
+            failwith (Printf.sprintf "width search failed on %s: %s" bench m)
+      in
+      Hashtbl.add w_min_cache bench w;
+      w
+
 type prepared = { inst : F.Benchmarks.instance; w_min : int }
 
 let prepare_all () =
   List.map
     (fun spec ->
       let inst = F.Benchmarks.build spec in
-      let search_budget = Sat.Solver.time_budget (4. *. !budget_seconds) in
-      match
-        C.Binary_search.minimal_width ~strategy:Strategy.best_single
-          ~budget:search_budget inst.F.Benchmarks.route
-      with
-      | Ok r -> { inst; w_min = r.C.Binary_search.w_min }
-      | Error m ->
-          failwith
-            (Printf.sprintf "width search failed on %s: %s"
-               spec.F.Benchmarks.name m))
+      { inst; w_min = w_min_of spec.F.Benchmarks.name inst.F.Benchmarks.route })
     F.Benchmarks.specs
 
 let prepared = lazy (prepare_all ())
@@ -977,16 +976,7 @@ let section_certify () =
   (* (a) speedup on a bench-sized proof *)
   let spec = Option.get (F.Benchmarks.find "alu2") in
   let inst = F.Benchmarks.build spec in
-  let search_budget = Sat.Solver.time_budget (4. *. !budget_seconds) in
-  let w_min =
-    match
-      C.Binary_search.minimal_width ~strategy:Strategy.best_single
-        ~budget:search_budget inst.F.Benchmarks.route
-    with
-    | Ok r -> r.C.Binary_search.w_min
-    | Error m -> failwith ("width search failed on alu2: " ^ m)
-  in
-  let width = max 1 (w_min - 1) in
+  let width = max 1 (w_min_of "alu2" inst.F.Benchmarks.route - 1) in
   let strat = Strategy.best_single in
   let csp =
     E.Csp.make (F.Conflict_graph.build inst.F.Benchmarks.route) ~k:width
@@ -1366,43 +1356,39 @@ let section_encode_bench () =
 (* ------------------------------------------------------------------ *)
 (* Perf gate: a small fixed matrix against a committed baseline         *)
 
-(* [--perf-handicap N] exists to prove the gate has teeth: it makes every
-   conflict pay N spin iterations through an interrupt hook polled at every
-   conflict, a deliberate slowdown a healthy run never shows. *)
+(* The handicaps exist to prove the gates have teeth: [spin_budget n]
+   makes every conflict pay n spin iterations through an interrupt hook
+   polled at every conflict, a deliberate slowdown a healthy run never
+   shows. *)
+let spin_budget n budget =
+  let hook () =
+    let acc = ref 0 in
+    for i = 1 to n do
+      acc := !acc + i
+    done;
+    ignore (Sys.opaque_identity !acc);
+    false
+  in
+  Sat.Solver.with_poll_interval 1 (Sat.Solver.interruptible hook budget)
+
+(* [--perf-handicap N]: a uniform N per conflict, which the Ratio sections
+   must catch. *)
 let handicap_budget budget =
-  if !perf_handicap <= 0 then budget
-  else begin
-    let n = !perf_handicap in
-    let hook () =
-      let acc = ref 0 in
-      for i = 1 to n do
-        acc := !acc + i
-      done;
-      ignore (Sys.opaque_identity !acc);
-      false
-    in
-    Sat.Solver.with_poll_interval 1 (Sat.Solver.interruptible hook budget)
-  end
+  if !perf_handicap <= 0 then budget else spin_budget !perf_handicap budget
 
-(* w_min per benchmark, memoised: both the solve and the props sections
-   key their widths off it. *)
-let w_min_cache : (string, int) Hashtbl.t = Hashtbl.create 4
+(* The one verdict both gate modes end in: the report, then exit 1 on
+   regression. An unreadable baseline exits 2, like a usage error. *)
+let read_baseline of_file =
+  match of_file !baseline_file with
+  | Ok baseline -> baseline
+  | Error m ->
+      prerr_endline (Printf.sprintf "--baseline %s: %s" !baseline_file m);
+      exit 2
 
-let w_min_of bench route =
-  match Hashtbl.find_opt w_min_cache bench with
-  | Some w -> w
-  | None ->
-      let w =
-        match
-          C.Binary_search.minimal_width ~strategy:Strategy.best_single
-            ~budget:(Sat.Solver.time_budget (4. *. !budget_seconds))
-            route
-        with
-        | Ok r -> r.C.Binary_search.w_min
-        | Error m -> failwith (Printf.sprintf "perf-gate: %s: %s" bench m)
-      in
-      Hashtbl.add w_min_cache bench w;
-      w
+let gate ~baseline current =
+  let report = Obs.Gate.check ~baseline ~current in
+  print_endline (Obs.Gate.render report);
+  if not report.Obs.Gate.ok then exit 1
 
 (* The solve half of the matrix: two benchmarks small enough to finish in
    seconds yet conflict-heavy enough to exercise the search, each at
@@ -1441,15 +1427,12 @@ let perf_solve_cells () =
     [ "alu2"; "too_large" ]
 
 (* BCP throughput cells: the watcher/arena hot path, as microseconds per
-   propagation so lower-is-better Baseline ratios gate it directly. The
+   propagation so lower-is-better Gate ratios gate it directly. The
    rate comes from the same Telemetry records that sweep --telemetry
    reports. Each cell is an unroutable Table-2-style configuration under
    the log encoding, capped by a conflict budget so repeated runs of the
    deterministic solver perform identical work; the median over the
    repeats shaves scheduler noise. *)
-let props_tolerance = 1. /. 0.9
-(* >10 % fewer propagations per second fails the gate *)
-
 let median xs =
   let a = Array.of_list xs in
   Array.sort compare a;
@@ -1497,54 +1480,24 @@ let section_perf_gate () =
   Printf.eprintf "perf-gate: solve section done\n%!";
   let prop_cells = props_cells () in
   Printf.eprintf "perf-gate: props section done\n%!";
+  (* wall times may grow 25 % (geometric mean); the props section holds
+     BCP throughput to its own contract — >10 % fewer propagations per
+     second fails *)
   let current =
-    Obs.Baseline.make
+    Obs.Gate.
       [
-        ("encode", encode_cells);
-        ("solve", solve_cells);
-        ("props", prop_cells);
+        { name = "encode"; kind = Ratio 1.25; cells = encode_cells };
+        { name = "solve"; kind = Ratio 1.25; cells = solve_cells };
+        { name = "props"; kind = Ratio (1. /. 0.9); cells = prop_cells };
       ]
   in
   if !bench_out <> "" then begin
-    Obs.Baseline.to_file !bench_out current;
+    Obs.Gate.(
+      to_file !bench_out (make (List.map (fun s -> (s.name, s.cells)) current)));
     Printf.printf "perf-gate: wrote %s\n" !bench_out
   end;
-  match !baseline_file with
-  | "" -> ()
-  | path -> (
-      match Obs.Baseline.of_file path with
-      | Error m ->
-          prerr_endline (Printf.sprintf "perf-gate: %s: %s" path m);
-          exit 2
-      | Ok baseline ->
-          let tolerance =
-            if !gate > 0. then !gate else Obs.Baseline.default_tolerance
-          in
-          (* wall-time sections gate under --gate; the props section gates
-             separately under the fixed throughput contract (>10 % fewer
-             propagations/s fails), so loosening the time tolerance never
-             loosens the BCP-throughput one *)
-          let is_props (name, _) = String.equal name "props" in
-          let all = Obs.Baseline.sections baseline in
-          let time_baseline =
-            Obs.Baseline.make (List.filter (fun s -> not (is_props s)) all)
-          in
-          let time_report =
-            Obs.Baseline.compare ~tolerance ~baseline:time_baseline ~current ()
-          in
-          print_endline (Obs.Baseline.render time_report);
-          let props_ok =
-            match List.filter is_props all with
-            | [] -> true (* baseline predates the props section *)
-            | sec ->
-                let report =
-                  Obs.Baseline.compare ~tolerance:props_tolerance
-                    ~baseline:(Obs.Baseline.make sec) ~current ()
-                in
-                print_endline (Obs.Baseline.render report);
-                report.Obs.Baseline.ok
-          in
-          if not (time_report.Obs.Baseline.ok && props_ok) then exit 1)
+  if !baseline_file <> "" then
+    gate ~baseline:(read_baseline Obs.Gate.of_file) current
 
 (* ------------------------------------------------------------------ *)
 (* Scaling: dimensional sweeps over generated instances, fitted to      *)
@@ -1564,23 +1517,12 @@ let scaling_handicap_job (j : Sweep.job) =
       let spin =
         int_of_float (float_of_int !scaling_handicap *. (r ** 4.))
       in
-      let hook () =
-        let acc = ref 0 in
-        for i = 1 to spin do
-          acc := !acc + i
-        done;
-        ignore (Sys.opaque_identity !acc);
-        false
-      in
       {
         j with
         Sweep.run =
           (fun ~budget ~certify ~telemetry ~fallback ->
-            let budget =
-              Sat.Solver.with_poll_interval 1
-                (Sat.Solver.interruptible hook budget)
-            in
-            j.Sweep.run ~budget ~certify ~telemetry ~fallback);
+            j.Sweep.run ~budget:(spin_budget spin budget) ~certify ~telemetry
+              ~fallback);
       }
 
 (* Best-of-N on the cheap cells only: a sub-second cell re-runs (the
@@ -1649,20 +1591,19 @@ let section_scaling () =
     Obs.Fit.to_file !scaling_out current;
     Printf.printf "scaling: wrote %s\n" !scaling_out
   end;
-  match !scaling_baseline with
-  | "" -> ()
-  | path -> (
-      match Obs.Fit.of_file path with
-      | Error m ->
-          prerr_endline (Printf.sprintf "scaling: %s: %s" path m);
-          exit 2
-      | Ok baseline ->
-          let tolerance =
-            if !scaling_gate > 0. then Some !scaling_gate else None
-          in
-          let report = Obs.Fit.gate ?tolerance ~baseline ~current () in
-          print_endline (Obs.Fit.render_gate report);
-          if not report.Obs.Fit.gate_ok then exit 1)
+  (* an exponent may grow by 1.5: run-to-run noise on the smoke grid is
+     about +-0.8, the nets^4 handicap moves the nets exponents by about 4 *)
+  if !baseline_file <> "" then
+    let baseline = read_baseline Obs.Fit.of_file in
+    gate
+      ~baseline:(Obs.Gate.make [ ("exponents", Obs.Fit.exponents baseline) ])
+      [
+        {
+          Obs.Gate.name = "exponents";
+          kind = Exponent 1.5;
+          cells = Obs.Fit.exponents current;
+        };
+      ]
 
 let () =
   Arg.parse arg_spec (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) usage;

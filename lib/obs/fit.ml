@@ -1,5 +1,4 @@
 let schema_version = "fpgasat.scaling/1"
-let default_tolerance = 1.0
 let min_seconds = 1e-6
 
 type point = { x : float; y : float; group : string }
@@ -308,74 +307,5 @@ let render t =
     dims;
   Buffer.contents buf
 
-(* ---------- the exponent gate ---------- *)
-
-type gate_cell = {
-  g_strategy : string;
-  g_dimension : string;
-  baseline_exponent : float;
-  current_exponent : float option;
-  cell_ok : bool;
-}
-
-type gate_report = {
-  cells : gate_cell list;
-  tolerance : float;
-  gate_ok : bool;
-}
-
-let gate ?(tolerance = default_tolerance) ~baseline ~current () =
-  if tolerance <= 0. then invalid_arg "Fit.gate: tolerance <= 0";
-  let cells =
-    List.map
-      (fun (b : fit) ->
-        let cur =
-          List.find_opt
-            (fun (c : fit) ->
-              c.strategy = b.strategy && c.dimension = b.dimension)
-            current.fits
-        in
-        match cur with
-        | None ->
-            (* a vanished curve means the sweep no longer measures what the
-               baseline pinned — a gate failure, not a free pass *)
-            {
-              g_strategy = b.strategy;
-              g_dimension = b.dimension;
-              baseline_exponent = b.exponent;
-              current_exponent = None;
-              cell_ok = false;
-            }
-        | Some c ->
-            {
-              g_strategy = b.strategy;
-              g_dimension = b.dimension;
-              baseline_exponent = b.exponent;
-              current_exponent = Some c.exponent;
-              cell_ok = c.exponent <= b.exponent +. tolerance;
-            })
-      baseline.fits
-  in
-  { cells; tolerance; gate_ok = List.for_all (fun c -> c.cell_ok) cells }
-
-let render_gate r =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "scaling gate: fitted exponent may exceed baseline by at most %.2f\n"
-       r.tolerance);
-  List.iter
-    (fun c ->
-      let cur =
-        match c.current_exponent with
-        | Some e -> Printf.sprintf "%.3f" e
-        | None -> "missing"
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "  %-4s %-36s %-6s baseline %.3f, current %s\n"
-           (if c.cell_ok then "ok" else "FAIL")
-           c.g_strategy c.g_dimension c.baseline_exponent cur))
-    r.cells;
-  Buffer.add_string buf
-    (if r.gate_ok then "PASS" else "FAIL: scaling exponent regression");
-  Buffer.contents buf
+let exponents t =
+  List.map (fun f -> (f.strategy ^ "|" ^ f.dimension, f.exponent)) t.fits

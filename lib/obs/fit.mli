@@ -1,11 +1,12 @@
-(** Power-law fitting over dimensional sweep records, the
-    [fpgasat.scaling/1] schema, and the exponent-based regression gate.
+(** Power-law fitting over dimensional sweep records and the
+    [fpgasat.scaling/1] schema.
 
     A dimensional sweep measures each strategy on a grid of instance sizes;
     this module turns those measurements into per-strategy, per-dimension
     scaling laws [t ≈ C · x^e] by least squares on [log t] against
-    [log x] — and gates CI on the fitted exponent [e], so a perf
-    regression is caught in the {e growth rate}, not just one cell.
+    [log x]. CI gates on the fitted exponent [e] ({!exponents} feeds
+    [Gate]), so a perf regression is caught in the {e growth rate}, not
+    just one cell.
 
     Fitting is {b pooled with per-group intercepts}: when the dimension
     [x] varies while other dimensions also take several values, every
@@ -104,36 +105,7 @@ val render : scaling -> string
 (** The fitted-exponent table plus crossover lines — "encoding X is
     O(n^1.4), Y is O(n^2.1), crossover at n≈37". *)
 
-(** {1 The exponent gate} *)
-
-type gate_cell = {
-  g_strategy : string;
-  g_dimension : string;
-  baseline_exponent : float;
-  current_exponent : float option;  (** [None]: missing from the run. *)
-  cell_ok : bool;
-}
-
-type gate_report = {
-  cells : gate_cell list;  (** One per {e baseline} fit. *)
-  tolerance : float;
-  gate_ok : bool;
-}
-
-val default_tolerance : float
-(** 1.0 — a fitted exponent may drift up to one power above the committed
-    baseline before the gate fails. Exponents fitted from two points per
-    axis on centisecond cells carry roughly half a power of timing noise;
-    the regressions this gate exists for (an accidental extra factor of
-    the instance size in a hot path) move them by two powers or more. *)
-
-val gate :
-  ?tolerance:float -> baseline:scaling -> current:scaling -> unit -> gate_report
-(** For every baseline fit: the matching (strategy, dimension) must exist
-    in the current run (a vanished curve fails the gate) and its exponent
-    must not exceed the baseline exponent by more than [tolerance].
-    Shrinking exponents and extra current fits are fine. Raises
-    [Invalid_argument] on a non-positive tolerance. *)
-
-val render_gate : gate_report -> string
-(** Human-readable verdict ending in [PASS] or [FAIL: ...]. *)
+val exponents : scaling -> (string * float) list
+(** One cell per fit, named [strategy|dimension] and valued by its fitted
+    exponent — the section the bench hands to [Gate] under its
+    [Exponent] kind. *)

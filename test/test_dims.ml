@@ -1,5 +1,5 @@
 (* Tests for the dimensional benchmarking stack: the power-law fitter and
-   its exponent gate (Fpgasat_obs.Fit), the parameterized instance
+   its scaling document (Fpgasat_obs.Fit), the parameterized instance
    generator (Fpgasat_fpga.Generator), and the grid/analysis glue
    (Fpgasat_engine.Dims) — including the determinism and censoring rules
    the scaling CI gate depends on. *)
@@ -130,7 +130,7 @@ let test_fit_crossover () =
     "parallel -> None" true
     (Fit.crossover_of_fits f1 f3 = None)
 
-(* ---------- Fit: the scaling document and its gate ---------- *)
+(* ---------- Fit: the scaling document ---------- *)
 
 let sample_fit ~strategy ~dimension ~exponent =
   {
@@ -180,82 +180,6 @@ let test_scaling_schema_checked () =
       Alcotest.(check bool)
         "names the schema" true
         (String.length m > 0)
-
-let test_gate_pass_and_fail () =
-  let baseline = sample_scaling () in
-  (* identical exponents pass *)
-  let r = Fit.gate ~baseline ~current:baseline () in
-  Alcotest.(check bool) "equal passes" true r.Fit.gate_ok;
-  (* an improvement and extra current fits pass *)
-  let better =
-    {
-      baseline with
-      Fit.fits =
-        sample_fit ~strategy:"extra" ~dimension:"nets" ~exponent:9.
-        :: List.map
-             (fun f -> { f with Fit.exponent = f.Fit.exponent -. 0.4 })
-             baseline.Fit.fits;
-    }
-  in
-  let r = Fit.gate ~baseline ~current:better () in
-  Alcotest.(check bool) "improvement passes" true r.Fit.gate_ok;
-  (* a regression beyond tolerance fails exactly that cell *)
-  let worse =
-    {
-      baseline with
-      Fit.fits =
-        List.map
-          (fun (f : Fit.fit) ->
-            if f.Fit.dimension = "nets" then
-              { f with Fit.exponent = f.Fit.exponent +. 1.1 }
-            else f)
-          baseline.Fit.fits;
-    }
-  in
-  let r = Fit.gate ~baseline ~current:worse () in
-  Alcotest.(check bool) "regression fails" false r.Fit.gate_ok;
-  let failed =
-    List.filter (fun c -> not c.Fit.cell_ok) r.Fit.cells
-  in
-  (match failed with
-  | [ c ] ->
-      Alcotest.(check string) "the nets cell" "nets" c.Fit.g_dimension
-  | _ -> Alcotest.fail "expected exactly one failing cell");
-  (* a regression inside tolerance passes *)
-  let r = Fit.gate ~tolerance:1.5 ~baseline ~current:worse () in
-  Alcotest.(check bool) "within tolerance passes" true r.Fit.gate_ok
-
-let test_gate_missing_fit_fails () =
-  let baseline = sample_scaling () in
-  let current = { baseline with Fit.fits = [ List.hd baseline.Fit.fits ] } in
-  let r = Fit.gate ~baseline ~current () in
-  Alcotest.(check bool) "missing fit fails" false r.Fit.gate_ok;
-  let missing = List.filter (fun c -> c.Fit.current_exponent = None) r.Fit.cells in
-  Alcotest.(check int) "one missing cell" 1 (List.length missing)
-
-let test_gate_tolerance_validated () =
-  Alcotest.check_raises "non-positive tolerance"
-    (Invalid_argument "Fit.gate: tolerance <= 0") (fun () ->
-      let b = sample_scaling () in
-      ignore (Fit.gate ~tolerance:0. ~baseline:b ~current:b ()))
-
-let test_gate_render_verdict () =
-  let ends_with s suffix =
-    let n = String.length s and m = String.length suffix in
-    n >= m && String.sub s (n - m) m = suffix
-  in
-  let b = sample_scaling () in
-  let pass = Fit.render_gate (Fit.gate ~baseline:b ~current:b ()) in
-  Alcotest.(check bool) "PASS" true (ends_with pass "PASS");
-  let worse =
-    { b with Fit.fits = [ sample_fit ~strategy:"a" ~dimension:"nets" ~exponent:9. ] }
-  in
-  let fail =
-    Fit.render_gate (Fit.gate ~baseline:b ~current:worse ())
-  in
-  Alcotest.(check bool)
-    "FAIL" true
-    (ends_with fail "FAIL: scaling exponent regression")
 
 let qcheck_scaling_roundtrip =
   let open QCheck2 in
@@ -587,13 +511,6 @@ let () =
           Alcotest.test_case "json roundtrip" `Quick test_scaling_json_roundtrip;
           Alcotest.test_case "file roundtrip" `Quick test_scaling_file_roundtrip;
           Alcotest.test_case "schema checked" `Quick test_scaling_schema_checked;
-          Alcotest.test_case "gate pass and fail" `Quick test_gate_pass_and_fail;
-          Alcotest.test_case "gate missing fit fails" `Quick
-            test_gate_missing_fit_fails;
-          Alcotest.test_case "gate tolerance validated" `Quick
-            test_gate_tolerance_validated;
-          Alcotest.test_case "gate render verdict" `Quick
-            test_gate_render_verdict;
         ] );
       ( "generator",
         [

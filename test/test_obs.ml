@@ -1,7 +1,7 @@
 (* Tests for the observability layer: the trace ring buffer (wraparound,
    zero-allocation when disabled, sink mapping, Chrome export), telemetry
    derivation and its backward-compatible ride on the run-record schema,
-   and the baseline perf gate's robustness rules. *)
+   and the perf gate's rules for every kind of section. *)
 
 module Sat = Fpgasat_sat
 module F = Fpgasat_fpga
@@ -11,7 +11,8 @@ module Obs = Fpgasat_obs
 module Json = Obs.Json
 module Trace = Obs.Trace
 module Telemetry = Obs.Telemetry
-module Baseline = Obs.Baseline
+module Gate = Obs.Gate
+module Fit = Obs.Fit
 module Flow = C.Flow
 
 let contains s sub =
@@ -296,95 +297,199 @@ let test_old_records_still_parse () =
       let line' = Eng.Run_record.to_line r in
       Alcotest.(check string) "byte-identical" old_line line'
 
-(* ---------- Baseline gate ---------- *)
+(* ---------- Gate ---------- *)
 
-let base = Baseline.make [ ("solve", [ ("a", 1.0); ("b", 2.0) ]) ]
+(* The rules are one set for every kind, so most cases take the kind as an
+   input: [mk tol] builds it, and [judge mk tol sections] judges current
+   sections of that kind against [base]. *)
+let base = Gate.make [ ("solve", [ ("a", 1.0); ("b", 2.0) ]) ]
 
-let test_baseline_json_roundtrip () =
+let judge ?(baseline = base) mk tol sections =
+  Gate.check ~baseline
+    ~current:
+      (List.map (fun (name, cells) -> { Gate.name; kind = mk tol; cells }) sections)
+
+let only_section (r : Gate.report) =
+  match r.Gate.sections with
+  | [ s ] -> s
+  | _ -> Alcotest.fail "one section expected"
+
+let missing (s : Gate.section_report) =
+  List.filter_map
+    (fun (c : Gate.cell) -> if c.Gate.current = None then Some c.Gate.cell else None)
+    s.Gate.cells
+
+let test_gate_json_roundtrip () =
   let b =
-    Baseline.make
+    Gate.make
       [ ("encode", [ ("x", 0.125) ]); ("solve", [ ("a", 1.0); ("b", 0.0) ]) ]
   in
-  match Baseline.of_string (Json.to_string (Baseline.to_json b)) with
+  match Gate.of_string (Json.to_string (Gate.to_json b)) with
   | Error m -> Alcotest.fail m
   | Ok b' ->
       Alcotest.(check bool) "sections survive" true
-        (Baseline.sections b = Baseline.sections b')
+        (Gate.sections b = Gate.sections b')
 
-let test_baseline_equal_passes () =
-  let r = Baseline.compare ~baseline:base ~current:base () in
-  Alcotest.(check bool) "ok" true r.Baseline.ok;
-  match r.Baseline.sections with
-  | [ s ] ->
-      Alcotest.(check (option (float 1e-9))) "geomean 1" (Some 1.) s.Baseline.geomean
-  | _ -> Alcotest.fail "one section expected"
+let test_gate_equal_passes mk () =
+  let r = judge mk 1.25 [ ("solve", [ ("a", 1.0); ("b", 2.0) ]) ] in
+  Alcotest.(check bool) "ok" true r.Gate.ok;
+  let s = only_section r in
+  match s.Gate.kind with
+  | Some (Gate.Ratio _) ->
+      Alcotest.(check (option (float 1e-9))) "geomean 1" (Some 1.) s.Gate.ratio
+  | Some (Gate.Exponent _) | None ->
+      Alcotest.(check bool) "every cell ok" true
+        (List.for_all (fun (c : Gate.cell) -> c.Gate.ok) s.Gate.cells)
 
-let test_baseline_regression_fails () =
-  let current = Baseline.make [ ("solve", [ ("a", 1.5); ("b", 3.0) ]) ] in
-  let r = Baseline.compare ~tolerance:1.25 ~baseline:base ~current () in
-  Alcotest.(check bool) "regressed" false r.Baseline.ok;
-  let r' = Baseline.compare ~tolerance:2.0 ~baseline:base ~current () in
-  Alcotest.(check bool) "looser gate passes" true r'.Baseline.ok
-
-let test_baseline_speedup_passes () =
-  let current = Baseline.make [ ("solve", [ ("a", 0.5); ("b", 1.0) ]) ] in
-  let r = Baseline.compare ~baseline:base ~current () in
-  Alcotest.(check bool) "faster is fine" true r.Baseline.ok
-
-let test_baseline_missing_section_fails () =
-  let current = Baseline.make [ ("other", [ ("a", 1.0) ]) ] in
-  let r = Baseline.compare ~baseline:base ~current () in
-  Alcotest.(check bool) "missing section fails" false r.Baseline.ok;
-  match r.Baseline.sections with
-  | [ s ] ->
-      Alcotest.(check (list string)) "all cells missing" [ "a"; "b" ]
-        (List.sort String.compare s.Baseline.missing)
-  | _ -> Alcotest.fail "one section expected"
-
-let test_baseline_missing_cell_fails () =
-  let current = Baseline.make [ ("solve", [ ("a", 1.0) ]) ] in
-  let r = Baseline.compare ~baseline:base ~current () in
-  Alcotest.(check bool) "missing cell fails" false r.Baseline.ok;
-  match r.Baseline.sections with
-  | [ s ] ->
-      Alcotest.(check (list string)) "b missing" [ "b" ] s.Baseline.missing;
-      Alcotest.(check int) "a still compared" 1 s.Baseline.cells
-  | _ -> Alcotest.fail "one section expected"
-
-let test_baseline_extra_current_ignored () =
-  let current =
-    Baseline.make
-      [ ("solve", [ ("a", 1.0); ("b", 2.0); ("c", 999.0) ]); ("new", [ ("z", 1.0) ]) ]
+let test_gate_regression_fails mk () =
+  (* a: 1.0 -> 2.4 is a 1.55x geometric mean over both cells and an
+     exponent drift of +1.4 on cell a alone *)
+  let slower = [ ("solve", [ ("a", 2.4); ("b", 2.0) ]) ] in
+  let r = judge mk 1.25 slower in
+  Alcotest.(check bool) "regressed" false r.Gate.ok;
+  let failed =
+    List.filter_map
+      (fun (c : Gate.cell) -> if c.Gate.ok then None else Some c.Gate.cell)
+      (only_section r).Gate.cells
   in
-  let r = Baseline.compare ~baseline:base ~current () in
-  Alcotest.(check bool) "extra cells/sections ignored" true r.Baseline.ok;
-  Alcotest.(check int) "one baseline section judged" 1
-    (List.length r.Baseline.sections)
+  Alcotest.(check (list string))
+    "failing cells" (match mk 1. with Gate.Exponent _ -> [ "a" ] | Gate.Ratio _ -> [])
+    failed;
+  Alcotest.(check bool) "looser gate passes" true (judge mk 2.0 slower).Gate.ok
 
-let test_baseline_zero_time_cells () =
+let test_gate_improvement_passes mk () =
+  let r = judge mk 1.25 [ ("solve", [ ("a", 0.5); ("b", 1.0) ]) ] in
+  Alcotest.(check bool) "faster is fine" true r.Gate.ok
+
+let test_gate_missing_section_fails mk () =
+  let r = judge mk 1.25 [ ("other", [ ("a", 1.0) ]) ] in
+  Alcotest.(check bool) "missing section fails" false r.Gate.ok;
+  let s = only_section r in
+  Alcotest.(check bool) "no kind" true (s.Gate.kind = None);
+  Alcotest.(check (list string)) "all cells missing" [ "a"; "b" ] (missing s)
+
+let test_gate_missing_cell_fails mk () =
+  let r = judge mk 1.25 [ ("solve", [ ("a", 1.0) ]) ] in
+  Alcotest.(check bool) "missing cell fails" false r.Gate.ok;
+  let s = only_section r in
+  Alcotest.(check (list string)) "b missing" [ "b" ] (missing s);
+  Alcotest.(check int) "a still compared" 1
+    (List.length s.Gate.cells - List.length (missing s))
+
+let test_gate_extra_current_ignored mk () =
+  let r =
+    judge mk 1.25
+      [
+        ("solve", [ ("a", 1.0); ("b", 2.0); ("c", 999.0) ]); ("new", [ ("z", 1.0) ]);
+      ]
+  in
+  Alcotest.(check bool) "extra cells/sections ignored" true r.Gate.ok;
+  Alcotest.(check int) "one baseline section judged" 1
+    (List.length r.Gate.sections)
+
+let test_gate_tolerance_validated mk () =
+  List.iter
+    (fun tol ->
+      Alcotest.check_raises "non-positive tolerance"
+        (Invalid_argument "Gate.check: tolerance <= 0") (fun () ->
+          ignore (judge mk tol [ ("solve", [ ("a", 1.0) ]) ])))
+    [ 0.; -1. ]
+
+let test_gate_render_verdict mk () =
+  let ends_with s suffix =
+    let n = String.length s and m = String.length suffix in
+    n >= m && String.sub s (n - m) m = suffix
+  in
+  let pass = Gate.render (judge mk 1.25 [ ("solve", [ ("a", 1.0); ("b", 2.0) ]) ]) in
+  Alcotest.(check bool) "PASS" true (ends_with pass "PASS");
+  let fail =
+    Gate.render (judge mk 1.25 [ ("solve", [ ("a", 100.0); ("b", 200.0) ]) ])
+  in
+  Alcotest.(check bool) "FAIL" true (ends_with fail "FAIL: performance regression")
+
+let test_gate_zero_time_ratio_cells () =
   (* both sides clamp to 1 µs: 0/0 compares equal instead of NaN, and a
      0 -> 1s blowup still registers as a (huge) regression *)
-  let base0 = Baseline.make [ ("solve", [ ("a", 0.0) ]) ] in
-  let same = Baseline.compare ~baseline:base0 ~current:base0 () in
-  Alcotest.(check bool) "0/0 passes" true same.Baseline.ok;
-  let blown = Baseline.make [ ("solve", [ ("a", 1.0) ]) ] in
-  let r = Baseline.compare ~baseline:base0 ~current:blown () in
-  Alcotest.(check bool) "0 -> 1s fails" false r.Baseline.ok
+  let base0 = Gate.make [ ("solve", [ ("a", 0.0) ]) ] in
+  let ratio cells = judge ~baseline:base0 (fun t -> Gate.Ratio t) 1.25 cells in
+  Alcotest.(check bool) "0/0 passes" true (ratio [ ("solve", [ ("a", 0.0) ]) ]).Gate.ok;
+  Alcotest.(check bool) "0 -> 1s fails" false
+    (ratio [ ("solve", [ ("a", 1.0) ]) ]).Gate.ok
 
-let test_baseline_tolerance_validated () =
-  Alcotest.check_raises "non-positive tolerance"
-    (Invalid_argument "Baseline.compare: tolerance <= 0") (fun () ->
-      ignore (Baseline.compare ~tolerance:0. ~baseline:base ~current:base ()))
-
-let test_baseline_render_verdict () =
-  let ok = Baseline.render (Baseline.compare ~baseline:base ~current:base ()) in
-  Alcotest.(check bool) "PASS" true
-    (String.length ok >= 4 && String.sub ok (String.length ok - 4) 4 = "PASS");
-  let current = Baseline.make [ ("solve", [ ("a", 100.0); ("b", 200.0) ]) ] in
-  let fail =
-    Baseline.render (Baseline.compare ~baseline:base ~current ())
+let test_gate_exponents_unclamped () =
+  (* fitted exponents are often negative (the seed's grid fits are about
+     -6 to -8); clamping them like times would hide any drift *)
+  let baseline = Gate.make [ ("exponents", [ ("s|grid", -6.3) ]) ] in
+  let exponent e =
+    judge ~baseline (fun t -> Gate.Exponent t) 1.5 [ ("exponents", [ ("s|grid", e) ]) ]
   in
-  Alcotest.(check bool) "FAIL" true (contains fail "FAIL")
+  Alcotest.(check bool) "-6.3 -> -5.0 passes" true (exponent (-5.0)).Gate.ok;
+  Alcotest.(check bool) "-6.3 -> -4.0 fails" false (exponent (-4.0)).Gate.ok
+
+let test_gate_kind_per_section () =
+  (* the bench's perf gate: wall-time sections at 1.25x, props at its own
+     >10 % throughput contract — one check, a kind per section *)
+  let cells = [ ("a", 1.0); ("b", 2.0) ] in
+  let slower = List.map (fun (k, v) -> (k, 1.2 *. v)) cells in
+  let r =
+    Gate.check
+      ~baseline:(Gate.make [ ("solve", cells); ("props", cells) ])
+      ~current:
+        [
+          { Gate.name = "solve"; kind = Gate.Ratio 1.25; cells = slower };
+          { Gate.name = "props"; kind = Gate.Ratio (1. /. 0.9); cells = slower };
+        ]
+  in
+  Alcotest.(check (list (pair string bool)))
+    "only props fails"
+    [ ("solve", true); ("props", false) ]
+    (List.map
+       (fun (s : Gate.section_report) -> (s.Gate.section, s.Gate.ok))
+       r.Gate.sections);
+  Alcotest.(check bool) "overall fails" false r.Gate.ok
+
+let test_gate_committed_baselines () =
+  (* read the way the bench reads --baseline: fpgasat.bench/1 for the perf
+     gate, fpgasat.scaling/1 as one exponents section under --scaling *)
+  let read of_file path =
+    match of_file path with Ok b -> b | Error m -> Alcotest.fail (path ^ ": " ^ m)
+  in
+  let perf = read Gate.of_file "../bench/BENCH_seed.json" in
+  let r =
+    Gate.check ~baseline:perf
+      ~current:
+        (List.map
+           (fun (name, cells) -> { Gate.name; kind = Gate.Ratio 1.25; cells })
+           (Gate.sections perf))
+  in
+  Alcotest.(check bool) "perf seed passes itself" true r.Gate.ok;
+  Alcotest.(check (list string))
+    "perf sections" [ "encode"; "solve"; "props" ]
+    (List.map (fun (s : Gate.section_report) -> s.Gate.section) r.Gate.sections);
+  List.iter
+    (fun (s : Gate.section_report) ->
+      Alcotest.(check (option (float 1e-12))) "ratio 1.000" (Some 1.) s.Gate.ratio)
+    r.Gate.sections;
+  let cells =
+    Fit.exponents (read Fit.of_file "../bench/BENCH_scaling_seed.json")
+  in
+  let r =
+    Gate.check
+      ~baseline:(Gate.make [ ("exponents", cells) ])
+      ~current:[ { Gate.name = "exponents"; kind = Gate.Exponent 1.5; cells } ]
+  in
+  Alcotest.(check bool) "scaling seed passes itself" true r.Gate.ok;
+  let s = only_section r in
+  Alcotest.(check int) "six exponent cells" 6 (List.length s.Gate.cells);
+  Alcotest.(check bool) "cells named strategy|dimension" true
+    (List.exists
+       (fun (c : Gate.cell) -> c.Gate.cell = "muldirect/s1@siege|nets")
+       s.Gate.cells);
+  List.iter
+    (fun (c : Gate.cell) ->
+      Alcotest.(check (option (float 0.)))
+        "drift 0.000" (Some c.Gate.baseline) c.Gate.current)
+    s.Gate.cells
 
 (* ---------- end-to-end: flow + trace ---------- *)
 
@@ -445,23 +550,39 @@ let () =
           Alcotest.test_case "old records still parse" `Quick
             test_old_records_still_parse;
         ] );
-      ( "baseline",
-        [
-          Alcotest.test_case "json roundtrip" `Quick test_baseline_json_roundtrip;
-          Alcotest.test_case "equal passes" `Quick test_baseline_equal_passes;
-          Alcotest.test_case "regression fails" `Quick test_baseline_regression_fails;
-          Alcotest.test_case "speedup passes" `Quick test_baseline_speedup_passes;
-          Alcotest.test_case "missing section fails" `Quick
-            test_baseline_missing_section_fails;
-          Alcotest.test_case "missing cell fails" `Quick
-            test_baseline_missing_cell_fails;
-          Alcotest.test_case "extra current ignored" `Quick
-            test_baseline_extra_current_ignored;
-          Alcotest.test_case "zero-time cells" `Quick test_baseline_zero_time_cells;
-          Alcotest.test_case "tolerance validated" `Quick
-            test_baseline_tolerance_validated;
-          Alcotest.test_case "render verdict" `Quick test_baseline_render_verdict;
-        ] );
+      ( "gate",
+        Alcotest.test_case "json roundtrip" `Quick test_gate_json_roundtrip
+        :: List.concat_map
+             (fun (kind, mk) ->
+               List.map
+                 (fun (name, test) ->
+                   Alcotest.test_case
+                     (Printf.sprintf "%s (%s)" name kind)
+                     `Quick (test mk))
+                 [
+                   ("equal passes", test_gate_equal_passes);
+                   ("regression fails", test_gate_regression_fails);
+                   ("improvement passes", test_gate_improvement_passes);
+                   ("missing section fails", test_gate_missing_section_fails);
+                   ("missing cell fails", test_gate_missing_cell_fails);
+                   ("extra current ignored", test_gate_extra_current_ignored);
+                   ("tolerance validated", test_gate_tolerance_validated);
+                   ("render verdict", test_gate_render_verdict);
+                 ])
+             [
+               ("ratio", fun t -> Gate.Ratio t);
+               ("exponent", fun t -> Gate.Exponent t);
+             ]
+        @ [
+            Alcotest.test_case "zero-time ratio cells" `Quick
+              test_gate_zero_time_ratio_cells;
+            Alcotest.test_case "exponents unclamped" `Quick
+              test_gate_exponents_unclamped;
+            Alcotest.test_case "kind per section" `Quick
+              test_gate_kind_per_section;
+            Alcotest.test_case "committed baselines pass themselves" `Quick
+              test_gate_committed_baselines;
+          ] );
       ( "flow",
         [
           Alcotest.test_case "trace records solve span" `Quick
