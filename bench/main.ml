@@ -1432,7 +1432,9 @@ let perf_solve_cells () =
    reports. Each cell is an unroutable Table-2-style configuration under
    the log encoding, capped by a conflict budget so repeated runs of the
    deterministic solver perform identical work; the median over the
-   repeats shaves scheduler noise. *)
+   repeats shaves scheduler noise. That same work — decisions,
+   propagations and conflicts — is returned as the cells of the exact
+   [work] section, once every repeat has been checked to agree on it. *)
 let median xs =
   let a = Array.of_list xs in
   Array.sort compare a;
@@ -1440,31 +1442,48 @@ let median xs =
 
 let props_cells () =
   let log_strategy = Strategy.make ~solver:`Siege_like (encoding "log") in
-  List.map
-    (fun (bench, repeats, conflicts) ->
-      let spec = Option.get (F.Benchmarks.find bench) in
-      let inst = F.Benchmarks.build spec in
-      let route = inst.F.Benchmarks.route in
-      let width = max 1 (w_min_of bench route - 1) in
-      let rate () =
-        let budget = handicap_budget (Sat.Solver.conflict_budget conflicts) in
-        let run =
-          Flow.(
-            submit
-              (default_request
-              |> with_strategy log_strategy
-              |> with_budget budget |> with_telemetry true))
-            route ~width
+  let cells =
+    List.map
+      (fun (bench, repeats, conflicts) ->
+        let spec = Option.get (F.Benchmarks.find bench) in
+        let inst = F.Benchmarks.build spec in
+        let route = inst.F.Benchmarks.route in
+        let width = max 1 (w_min_of bench route - 1) in
+        let once () =
+          let budget = handicap_budget (Sat.Solver.conflict_budget conflicts) in
+          let run =
+            Flow.(
+              submit
+                (default_request
+                |> with_strategy log_strategy
+                |> with_budget budget |> with_telemetry true))
+              route ~width
+          in
+          let s = run.Flow.solver_stats in
+          match run.Flow.telemetry with
+          | Some t ->
+              ( t.Obs.Telemetry.propagations_per_sec,
+                Sat.Stats.(s.decisions, s.propagations, s.conflicts) )
+          | None -> failwith "perf-gate: telemetry record missing"
         in
-        match run.Flow.telemetry with
-        | Some t -> t.Obs.Telemetry.propagations_per_sec
-        | None -> failwith "perf-gate: telemetry record missing"
-      in
-      let per_sec = median (List.init repeats (fun _ -> rate ())) in
-      Printf.eprintf "perf-gate: %s W=%d log: %.0f propagations/s\n%!" bench
-        width per_sec;
-      (Printf.sprintf "%s|wmin-1|log" bench, 1e6 /. per_sec))
-    [ ("alu2", 5, 100_000); ("vda", 3, 6_000) ]
+        let runs = List.init repeats (fun _ -> once ()) in
+        let cell = Printf.sprintf "%s|wmin-1|log" bench in
+        let work = snd (List.hd runs) in
+        if List.exists (fun (_, w) -> w <> work) runs then
+          failwith ("perf-gate: repeats of " ^ cell ^ " did different work");
+        let decisions, propagations, conflicts = work in
+        let per_sec = median (List.map fst runs) in
+        Printf.eprintf "perf-gate: %s W=%d log: %.0f propagations/s\n%!" bench
+          width per_sec;
+        ( (cell, 1e6 /. per_sec),
+          [
+            (cell ^ "/decisions", float_of_int decisions);
+            (cell ^ "/propagations", float_of_int propagations);
+            (cell ^ "/conflicts", float_of_int conflicts);
+          ] ))
+      [ ("alu2", 5, 100_000); ("vda", 3, 6_000) ]
+  in
+  (List.map fst cells, List.concat_map snd cells)
 
 let section_perf_gate () =
   let m = measure_encode () in
@@ -1478,17 +1497,18 @@ let section_perf_gate () =
   Printf.eprintf "perf-gate: encode section done\n%!";
   let solve_cells = perf_solve_cells () in
   Printf.eprintf "perf-gate: solve section done\n%!";
-  let prop_cells = props_cells () in
+  let prop_cells, work_cells = props_cells () in
   Printf.eprintf "perf-gate: props section done\n%!";
   (* wall times may grow 25 % (geometric mean); the props section holds
      BCP throughput to its own contract — >10 % fewer propagations per
-     second fails *)
+     second fails; the work those props runs did must not move at all *)
   let current =
     Obs.Gate.
       [
         { name = "encode"; kind = Ratio 1.25; cells = encode_cells };
         { name = "solve"; kind = Ratio 1.25; cells = solve_cells };
         { name = "props"; kind = Ratio (1. /. 0.9); cells = prop_cells };
+        { name = "work"; kind = Exact; cells = work_cells };
       ]
   in
   if !bench_out <> "" then begin

@@ -81,7 +81,7 @@ let to_file path t =
 
 (* ---------- the check ---------- *)
 
-type kind = Ratio of float | Exponent of float
+type kind = Ratio of float | Exponent of float | Exact
 type section = { name : string; kind : kind; cells : (string * float) list }
 
 type cell = {
@@ -110,8 +110,10 @@ let geomean = function
 let check ~(baseline : t) ~(current : section list) =
   List.iter
     (fun (s : section) ->
-      let (Ratio tol | Exponent tol) = s.kind in
-      if tol <= 0. then invalid_arg "Gate.check: tolerance <= 0")
+      match s.kind with
+      | Ratio tol | Exponent tol ->
+          if tol <= 0. then invalid_arg "Gate.check: tolerance <= 0"
+      | Exact -> ())
     current;
   let judge (name, base_cells) =
     match List.find_opt (fun s -> String.equal s.name name) current with
@@ -135,13 +137,14 @@ let check ~(baseline : t) ~(current : section list) =
                 | None, _ -> false
                 | Some _, Ratio _ -> true
                 | Some c, Exponent tol -> c <= baseline +. tol
+                | Some c, Exact -> Float.equal c baseline
               in
               { cell; baseline; current; ok })
             base_cells
         in
         let ratio =
           match s.kind with
-          | Exponent _ -> None
+          | Exponent _ | Exact -> None
           | Ratio _ ->
               geomean
                 (List.filter_map
@@ -158,7 +161,7 @@ let check ~(baseline : t) ~(current : section list) =
           &&
           match (s.kind, ratio) with
           | Ratio tol, Some g -> g <= tol
-          | Ratio _, None | Exponent _, _ -> true
+          | Ratio _, None | Exponent _, _ | Exact, _ -> true
         in
         { section = name; kind = Some s.kind; ratio; cells; ok }
   in
@@ -183,6 +186,8 @@ let render r =
         | Some (Exponent tol), _ ->
             Printf.sprintf "%d cells (exponent, tolerance +%.2f)"
               (List.length present) tol
+        | Some Exact, _ ->
+            Printf.sprintf "%d cells (exact)" (List.length present)
       in
       let missing =
         match
@@ -201,17 +206,21 @@ let render r =
       Buffer.add_string buf
         (Printf.sprintf "  %-4s %-10s %s%s\n" (verdict s.ok) s.section summary
            missing);
-      (* an exponent is judged cell by cell, so every cell gets a line *)
+      let cell_line number (c : cell) =
+        Buffer.add_string buf
+          (Printf.sprintf "    %-4s %-42s baseline %s, current %s\n"
+             (verdict c.ok) c.cell (number c.baseline)
+             (match c.current with Some v -> number v | None -> "missing"))
+      in
+      (* an exponent is judged cell by cell, so every cell gets a line; an
+         exact section lists the cells that differ, in full precision *)
       match s.kind with
-      | Some (Exponent _) ->
+      | Some (Exponent _) -> List.iter (cell_line (Printf.sprintf "%.3f")) s.cells
+      | Some Exact ->
           List.iter
             (fun (c : cell) ->
-              Buffer.add_string buf
-                (Printf.sprintf "    %-4s %-42s baseline %.3f, current %s\n"
-                   (verdict c.ok) c.cell c.baseline
-                   (match c.current with
-                   | Some e -> Printf.sprintf "%.3f" e
-                   | None -> "missing")))
+              if c.current <> None && not c.ok then
+                cell_line (Printf.sprintf "%.17g") c)
             s.cells
       | Some (Ratio _) | None -> ())
     r.sections;

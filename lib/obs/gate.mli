@@ -12,6 +12,10 @@
     - [Exponent tol]: every cell may exceed its baseline by at most [tol],
       absolute and unclamped. For fitted scaling exponents, which a
       uniformly faster or slower machine leaves alone.
+    - [Exact]: every cell must equal its baseline; a cell that differs in
+      either direction fails and is listed. For deterministic work
+      counters (decisions, propagations, conflicts), where any change is a
+      change in the search and calls for a deliberate baseline bump.
 
     One set of rules for every kind, pinned by test_obs:
     - a baseline section absent from the current run {b fails} the gate
@@ -20,7 +24,8 @@
       is listed;
     - sections and cells only in the current run are ignored (adding
       benches never fails the gate);
-    - a non-positive tolerance raises [Invalid_argument]. *)
+    - a non-positive tolerance raises [Invalid_argument] ([Exact] has
+      none). *)
 
 type t
 
@@ -42,7 +47,7 @@ val to_file : string -> t -> unit
 
 (** {1 The check} *)
 
-type kind = Ratio of float | Exponent of float
+type kind = Ratio of float | Exponent of float | Exact
 
 type section = { name : string; kind : kind; cells : (string * float) list }
 (** One section of the current run with the kind it is judged by. *)
@@ -52,7 +57,8 @@ type cell = {
   baseline : float;
   current : float option;  (** [None]: missing from the current section. *)
   ok : bool;
-      (** Present, and for an [Exponent] section within tolerance. *)
+      (** Present, and for an [Exponent] section within tolerance, for an
+          [Exact] section equal to the baseline. *)
 }
 
 type section_report = {
@@ -77,4 +83,5 @@ val check : baseline:t -> current:section list -> report
 
 val render : report -> string
 (** Human-readable verdict: one line per section, one more per cell of an
-    [Exponent] section, ending in [PASS] or [FAIL: ...]. *)
+    [Exponent] section and per differing cell of an [Exact] section, ending
+    in [PASS] or [FAIL: ...]. *)

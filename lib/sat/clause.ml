@@ -50,13 +50,6 @@ let activity_of_bits b = Int64.float_of_bits (Int64.shift_left (Int64.of_int b) 
 
 let size t c = t.arena.(c)
 let lit t c i = t.arena.(c + header_words + i)
-let set_lit t c i l = t.arena.(c + header_words + i) <- l
-
-let swap t c i j =
-  let base = c + header_words in
-  let tmp = t.arena.(base + i) in
-  t.arena.(base + i) <- t.arena.(base + j);
-  t.arena.(base + j) <- tmp
 
 let learnt t c = t.arena.(c + 1) land flag_learnt <> 0
 let deleted t c = t.arena.(c + 1) land flag_deleted <> 0
@@ -104,8 +97,3 @@ let reloc ~src ~dst c =
     src.arena.(c + 2) <- nc;
     nc
   end
-
-let pp t fmt c =
-  Format.pp_print_list
-    ~pp_sep:(fun fmt () -> Format.pp_print_char fmt ' ')
-    Lit.pp fmt (to_list t c)

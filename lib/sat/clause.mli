@@ -52,8 +52,6 @@ val alloc : ?learnt:bool -> t -> Lit.t array -> int -> int -> cref
 
 val size : t -> cref -> int
 val lit : t -> cref -> int -> Lit.t
-val set_lit : t -> cref -> int -> Lit.t -> unit
-val swap : t -> cref -> int -> int -> unit
 val learnt : t -> cref -> bool
 val deleted : t -> cref -> bool
 val set_deleted : t -> cref -> unit
@@ -72,6 +70,3 @@ val reloc : src:t -> dst:t -> cref -> cref
     return the same forwarding target) and returns its new cref. Only live
     clauses may be relocated; compaction drops deleted ones by never
     relocating them. *)
-
-val pp : t -> Format.formatter -> cref -> unit
-(** Space-separated DIMACS literals, without the trailing 0. *)

@@ -1,51 +1,41 @@
+(* A plain int array and a size: every variable is in the heap at most once,
+   so [Array.length scores] slots always suffice and the heap never grows. *)
 type t = {
-  heap : int Vec.t; (* heap.(i) = variable at heap position i *)
-  mutable pos : int array; (* pos.(v) = position of v, or -1 *)
-  mutable scores : float array;
+  heap : int array; (* heap.(i) = variable at heap position i, i < size *)
+  mutable size : int;
+  pos : int array; (* pos.(v) = position of v, or -1 *)
+  scores : float array;
 }
 
 let create ~scores =
-  {
-    heap = Vec.create ~dummy:(-1) ();
-    pos = Array.make (max (Array.length scores) 1) (-1);
-    scores;
-  }
-
-let grow t scores =
-  t.scores <- scores;
-  let n = Array.length scores in
-  if n > Array.length t.pos then begin
-    let pos = Array.make n (-1) in
-    Array.blit t.pos 0 pos 0 (Array.length t.pos);
-    t.pos <- pos
-  end
+  let n = max (Array.length scores) 1 in
+  { heap = Array.make n (-1); size = 0; pos = Array.make n (-1); scores }
 
 let in_heap t v = v < Array.length t.pos && t.pos.(v) >= 0
-let is_empty t = Vec.is_empty t.heap
-let size t = Vec.size t.heap
+let is_empty t = t.size = 0
 let lt t a b = t.scores.(a) > t.scores.(b) (* max-heap *)
 
 let swap t i j =
-  let a = Vec.get t.heap i and b = Vec.get t.heap j in
-  Vec.set t.heap i b;
-  Vec.set t.heap j a;
+  let a = t.heap.(i) and b = t.heap.(j) in
+  t.heap.(i) <- b;
+  t.heap.(j) <- a;
   t.pos.(a) <- j;
   t.pos.(b) <- i
 
 let rec sift_up t i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if lt t (Vec.get t.heap i) (Vec.get t.heap parent) then begin
+    if lt t t.heap.(i) t.heap.(parent) then begin
       swap t i parent;
       sift_up t parent
     end
   end
 
 let rec sift_down t i =
-  let n = Vec.size t.heap in
+  let n = t.size in
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let best = if l < n && lt t (Vec.get t.heap l) (Vec.get t.heap i) then l else i in
-  let best = if r < n && lt t (Vec.get t.heap r) (Vec.get t.heap best) then r else best in
+  let best = if l < n && lt t t.heap.(l) t.heap.(i) then l else i in
+  let best = if r < n && lt t t.heap.(r) t.heap.(best) then r else best in
   if best <> i then begin
     swap t i best;
     sift_down t best
@@ -53,18 +43,21 @@ let rec sift_down t i =
 
 let insert t v =
   if not (in_heap t v) then begin
-    Vec.push t.heap v;
-    t.pos.(v) <- Vec.size t.heap - 1;
-    sift_up t (Vec.size t.heap - 1)
+    let i = t.size in
+    t.pos.(v) <- i;
+    t.heap.(i) <- v;
+    t.size <- i + 1;
+    sift_up t i
   end
 
 let remove_max t =
   if is_empty t then raise Not_found;
-  let top = Vec.get t.heap 0 in
-  let last = Vec.pop t.heap in
+  let top = t.heap.(0) in
+  t.size <- t.size - 1;
+  let last = t.heap.(t.size) in
   t.pos.(top) <- -1;
-  if not (Vec.is_empty t.heap) then begin
-    Vec.set t.heap 0 last;
+  if t.size > 0 then begin
+    t.heap.(0) <- last;
     t.pos.(last) <- 0;
     sift_down t 0
   end;

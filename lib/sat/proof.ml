@@ -3,7 +3,6 @@ type t = { steps : step Vec.t }
 
 let create () = { steps = Vec.create ~dummy:(Add []) () }
 let add t lits = Vec.push t.steps (Add lits)
-let add_array t lits = Vec.push t.steps (Add (Array.to_list lits))
 let delete t lits = Vec.push t.steps (Delete lits)
 let steps t = Vec.to_list t.steps
 let num_steps t = Vec.size t.steps

@@ -14,10 +14,6 @@ type t
 val create : unit -> t
 val add : t -> Lit.t list -> unit
 
-val add_array : t -> Lit.t array -> unit
-(** As {!add}; lets recording sites that hold literal arrays defer the list
-    conversion until a proof is actually being recorded. *)
-
 val delete : t -> Lit.t list -> unit
 val steps : t -> step list
 (** In recording order. *)

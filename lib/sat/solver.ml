@@ -155,6 +155,16 @@ type state = {
   order : Heap.t;
   phase : bool array;
   seen : bool array;
+  (* conflict-analysis scratch, sized once so [analyze] builds no lists:
+     the learnt clause ([learnt_size] literals, LBD [learnt_lbd]), the
+     variables whose [seen] flag it set, and one stamp per decision level
+     for counting the clause's distinct levels *)
+  learnt : Lit.t array;
+  mutable learnt_size : int;
+  mutable learnt_lbd : int;
+  to_clear : int array;
+  mutable level_stamp : int array;
+  mutable stamp : int;
   rng : Rng.t;
   stats : Stats.t;
   proof : Proof.t option;
@@ -194,6 +204,12 @@ let create cfg cnf proof =
     order = Heap.create ~scores:activity;
     phase = Array.make (max nvars 1) false;
     seen = Array.make (max nvars 1) false;
+    learnt = Array.make (max nvars 1) 0;
+    learnt_size = 0;
+    learnt_lbd = 0;
+    to_clear = Array.make (max nvars 1) 0;
+    level_stamp = Array.make (nvars + 1) 0;
+    stamp = 0;
     rng = Rng.create cfg.seed;
     stats = Stats.create ();
     proof;
@@ -250,6 +266,11 @@ let detach_clause st c =
   wl_remove st.watches.(Lit.negate (Clause.lit db c 0)) c;
   wl_remove st.watches.(Lit.negate (Clause.lit db c 1)) c
 
+(* [value_lit] on the raw assignment array, closed so the hot loop below
+   calls no closure per watcher visit. *)
+let[@inline] lit_value assigns l =
+  if l land 1 = 0 then assigns.(l lsr 1) else -assigns.(l lsr 1)
+
 (* Propagate all enqueued facts; returns the conflicting cref, or
    [Clause.cref_undef]. The hot loop works on the raw arena and raw watcher
    arrays: a watcher visit whose blocker is satisfied touches no clause
@@ -259,7 +280,7 @@ let propagate st =
   let conflict = ref Clause.cref_undef in
   let arena = Clause.raw st.db in
   let assigns = st.assigns in
-  let value l = if l land 1 = 0 then assigns.(l lsr 1) else -assigns.(l lsr 1) in
+  let header_words = Clause.header_words in
   while !conflict = Clause.cref_undef && st.qhead < Vec.size st.trail do
     let p = Vec.get st.trail st.qhead in
     st.qhead <- st.qhead + 1;
@@ -272,13 +293,13 @@ let propagate st =
       let blocker = wdata.(!i) in
       let cr = wdata.(!i + 1) in
       i := !i + 2;
-      if value blocker = 1 then begin
+      if lit_value assigns blocker = 1 then begin
         wdata.(!j) <- blocker;
         wdata.(!j + 1) <- cr;
         j := !j + 2
       end
       else begin
-        let base = cr + Clause.header_words in
+        let base = cr + header_words in
         (* make sure the false literal is at position 1 *)
         let l0 = arena.(base) in
         if l0 = false_lit then begin
@@ -286,7 +307,7 @@ let propagate st =
           arena.(base + 1) <- l0
         end;
         let first = arena.(base) in
-        if first <> blocker && value first = 1 then begin
+        if first <> blocker && lit_value assigns first = 1 then begin
           (* satisfied: keep the watcher, refresh the blocker *)
           wdata.(!j) <- first;
           wdata.(!j + 1) <- cr;
@@ -296,7 +317,7 @@ let propagate st =
           (* find a replacement watch among positions 2.. *)
           let size = arena.(cr) in
           let k = ref 2 in
-          while !k < size && value arena.(base + !k) = -1 do
+          while !k < size && lit_value assigns arena.(base + !k) = -1 do
             incr k
           done;
           if !k < size then begin
@@ -311,7 +332,7 @@ let propagate st =
             wdata.(!j) <- first;
             wdata.(!j + 1) <- cr;
             j := !j + 2;
-            if value first = -1 then begin
+            if lit_value assigns first = -1 then begin
               conflict := cr;
               st.qhead <- Vec.size st.trail;
               while !i < n do
@@ -330,21 +351,18 @@ let propagate st =
   done;
   !conflict
 
+(* [Heap.insert] is a no-op for a variable already in the heap. *)
 let cancel_until st lvl =
   if decision_level st > lvl then begin
     let bound = Vec.get st.trail_lim lvl in
-    let rec pop () =
-      if Vec.size st.trail > bound then begin
-        let l = Vec.pop st.trail in
-        let v = Lit.var l in
-        if st.cfg.phase_saving then st.phase.(v) <- Lit.sign l;
-        st.assigns.(v) <- 0;
-        st.reason.(v) <- Clause.cref_undef;
-        if not (Heap.in_heap st.order v) then Heap.insert st.order v;
-        pop ()
-      end
-    in
-    pop ();
+    while Vec.size st.trail > bound do
+      let l = Vec.pop st.trail in
+      let v = Lit.var l in
+      if st.cfg.phase_saving then st.phase.(v) <- Lit.sign l;
+      st.assigns.(v) <- 0;
+      st.reason.(v) <- Clause.cref_undef;
+      Heap.insert st.order v
+    done;
     st.qhead <- Vec.size st.trail;
     Vec.shrink st.trail_lim lvl
   end
@@ -358,13 +376,42 @@ let new_decision_level st =
   if dl > st.stats.Stats.max_decision_level then
     st.stats.Stats.max_decision_level <- dl
 
+(* Basic minimisation keeps learnt literal [q] unless it is implied by the
+   rest of the clause: [q] stays when it has no reason, or when some other
+   literal of its reason is neither in the clause ([seen]) nor fixed at
+   level 0. *)
+let keeps st arena q =
+  let r = st.reason.(Lit.var q) in
+  r = Clause.cref_undef
+  ||
+  let base = r + Clause.header_words in
+  let n = arena.(r) in
+  let k = ref 1 in
+  while
+    !k < n
+    &&
+    let w = Lit.var arena.(base + !k) in
+    st.seen.(w) || st.level.(w) <= 0
+  do
+    incr k
+  done;
+  !k < n
+
 (* First-UIP conflict analysis with basic (non-recursive) minimisation.
-   Returns the learnt clause (asserting literal first, a literal of the
-   second-highest level at index 1), the backtrack level and the LBD. *)
+   Leaves the learnt clause in [st.learnt] (asserting literal first, then
+   the kept literals in reverse discovery order, with a literal of the
+   second-highest level swapped to index 1), its length in
+   [st.learnt_size] and its LBD in [st.learnt_lbd]; returns the backtrack
+   level. Works in the solver's scratch buffers: no lists, closures or
+   sets. *)
 let analyze st confl =
   let db = st.db in
-  let learnt = ref [] in
-  let to_clear = ref [] in
+  (* nothing below allocates in the arena, so [arena] stays current *)
+  let arena = Clause.raw db in
+  let learnt = st.learnt in
+  let size = ref 1 (* index 0 is reserved for the asserting literal *) in
+  let cleared = ref 0 in
+  let dl = decision_level st in
   let path_c = ref 0 in
   let p = ref (-1) in
   let index = ref (Vec.size st.trail - 1) in
@@ -375,15 +422,20 @@ let analyze st confl =
     assert (c <> Clause.cref_undef);
     if Clause.learnt db c then cla_bump st c;
     let start = if !p = -1 then 0 else 1 in
-    for jj = start to Clause.size db c - 1 do
-      let q = Clause.lit db c jj in
+    let base = c + Clause.header_words in
+    for jj = start to arena.(c) - 1 do
+      let q = arena.(base + jj) in
       let v = Lit.var q in
       if (not st.seen.(v)) && st.level.(v) > 0 then begin
         var_bump st v;
         st.seen.(v) <- true;
-        to_clear := v :: !to_clear;
-        if st.level.(v) >= decision_level st then incr path_c
-        else learnt := q :: !learnt
+        st.to_clear.(!cleared) <- v;
+        incr cleared;
+        if st.level.(v) >= dl then incr path_c
+        else begin
+          learnt.(!size) <- q;
+          incr size
+        end
       end
     done;
     (* select the next trail literal to resolve on *)
@@ -397,50 +449,59 @@ let analyze st confl =
     decr path_c;
     if !path_c = 0 then continue := false
   done;
-  let uip = Lit.negate !p in
-  (* basic minimisation: drop literals implied by the rest of the clause *)
-  let keep q =
-    let v = Lit.var q in
-    let r = st.reason.(v) in
-    r = Clause.cref_undef
-    ||
-    let rec any k =
-      k < Clause.size db r
-      &&
-      let w = Lit.var (Clause.lit db r k) in
-      ((not st.seen.(w)) && st.level.(w) > 0) || any (k + 1)
-    in
-    any 1
-  in
-  let minimised = List.filter keep !learnt in
-  List.iter (fun v -> st.seen.(v) <- false) !to_clear;
-  let lits = uip :: minimised in
-  st.stats.Stats.learnt_literals <-
-    st.stats.Stats.learnt_literals + List.length lits;
-  (* compute backtrack level and move a max-level literal to index 1 *)
-  match lits with
-  | [ _ ] -> (Array.of_list lits, 0, 1)
-  | first :: rest ->
-      let arr = Array.of_list (first :: rest) in
-      let max_i = ref 1 in
-      for k = 2 to Array.length arr - 1 do
-        if st.level.(Lit.var arr.(k)) > st.level.(Lit.var arr.(!max_i)) then
-          max_i := k
-      done;
-      let tmp = arr.(1) in
-      arr.(1) <- arr.(!max_i);
-      arr.(!max_i) <- tmp;
-      let blevel = st.level.(Lit.var arr.(1)) in
-      (* LBD: distinct decision levels in the clause *)
-      let module IS = Set.Make (Int) in
-      let lbd =
-        Array.fold_left
-          (fun acc l -> IS.add st.level.(Lit.var l) acc)
-          IS.empty arr
-        |> IS.cardinal
-      in
-      (arr, blevel, lbd)
-  | [] -> assert false
+  learnt.(0) <- Lit.negate !p;
+  (* minimise in place, in discovery order, while [seen] still marks the
+     clause; then reverse the kept literals into their recorded order *)
+  let n = ref 1 in
+  for k = 1 to !size - 1 do
+    let q = learnt.(k) in
+    if keeps st arena q then begin
+      learnt.(!n) <- q;
+      incr n
+    end
+  done;
+  for k = 0 to !cleared - 1 do
+    st.seen.(st.to_clear.(k)) <- false
+  done;
+  let n = !n in
+  let i = ref 1 and j = ref (n - 1) in
+  while !i < !j do
+    let tmp = learnt.(!i) in
+    learnt.(!i) <- learnt.(!j);
+    learnt.(!j) <- tmp;
+    incr i;
+    decr j
+  done;
+  st.learnt_size <- n;
+  st.stats.Stats.learnt_literals <- st.stats.Stats.learnt_literals + n;
+  if n = 1 then begin
+    st.learnt_lbd <- 1;
+    0
+  end
+  else begin
+    (* backtrack level: move a max-level literal to index 1 *)
+    let max_i = ref 1 in
+    for k = 2 to n - 1 do
+      if st.level.(Lit.var learnt.(k)) > st.level.(Lit.var learnt.(!max_i))
+      then max_i := k
+    done;
+    let tmp = learnt.(1) in
+    learnt.(1) <- learnt.(!max_i);
+    learnt.(!max_i) <- tmp;
+    (* LBD: distinct decision levels in the clause, counted by stamping
+       each level with this analysis's number *)
+    st.stamp <- st.stamp + 1;
+    let lbd = ref 0 in
+    for k = 0 to n - 1 do
+      let lv = st.level.(Lit.var learnt.(k)) in
+      if st.level_stamp.(lv) <> st.stamp then begin
+        st.level_stamp.(lv) <- st.stamp;
+        incr lbd
+      end
+    done;
+    st.learnt_lbd <- !lbd;
+    st.level.(Lit.var learnt.(1))
+  end
 
 let locked st c =
   let db = st.db in
@@ -452,11 +513,13 @@ let locked st c =
 let record_proof_add st lits =
   match st.proof with Some p -> Proof.add p lits | None -> ()
 
-(* Array variants convert to the proof's list representation only when a
-   proof is actually being recorded, so proof-less solving never pays the
-   per-conflict list allocation. *)
-let record_proof_add_arr st lits =
-  match st.proof with Some p -> Proof.add_array p lits | None -> ()
+(* The first [n] literals of [lits], converted to the proof's list
+   representation only when a proof is actually being recorded, so
+   proof-less solving never pays the per-conflict list allocation. *)
+let record_proof_add_prefix st lits n =
+  match st.proof with
+  | Some p -> Proof.add p (List.init n (Array.get lits))
+  | None -> ()
 
 let record_proof_delete st c =
   match st.proof with
@@ -501,9 +564,8 @@ let reduce_db st =
   let arr = Array.init (Vec.size st.learnts) (Vec.get st.learnts) in
   Array.sort
     (fun a b ->
-      compare
-        (Clause.activity db a, -Clause.lbd db a)
-        (Clause.activity db b, -Clause.lbd db b))
+      let c = Float.compare (Clause.activity db a) (Clause.activity db b) in
+      if c <> 0 then c else Int.compare (Clause.lbd db b) (Clause.lbd db a))
     arr;
   let n = Array.length arr in
   let limit = n / 2 in
@@ -525,26 +587,24 @@ let reduce_db st =
   st.stats.Stats.deleted_clauses <- st.stats.Stats.deleted_clauses + !deleted;
   gc st
 
+(* The next decision variable, or [-1] when every variable is assigned. *)
 let pick_branch_var st =
-  let random_pick () =
-    if st.cfg.random_var_freq > 0.
-       && Rng.float st.rng < st.cfg.random_var_freq
-       && st.nvars > 0
+  let v =
+    if
+      st.cfg.random_var_freq > 0.
+      && Rng.float st.rng < st.cfg.random_var_freq
+      && st.nvars > 0
     then
       let v = Rng.int st.rng st.nvars in
-      if value_var st v = 0 then Some v else None
-    else None
+      if value_var st v = 0 then v else -1
+    else -1
   in
-  match random_pick () with
-  | Some v -> Some v
-  | None ->
-      let rec next () =
-        if Heap.is_empty st.order then None
-        else
-          let v = Heap.remove_max st.order in
-          if value_var st v = 0 then Some v else next ()
-      in
-      next ()
+  let v = ref v in
+  while !v < 0 && not (Heap.is_empty st.order) do
+    let u = Heap.remove_max st.order in
+    if value_var st u = 0 then v := u
+  done;
+  !v
 
 (* Geometric limits overflow float range quickly (inc^k); [int_of_float]
    of an out-of-range float is unspecified, so clamp to [max_int]. *)
@@ -725,8 +785,7 @@ let install_strengthened st c out =
           incr j
         end)
       out;
-    let final = Array.sub final 0 !undef in
-    record_proof_add_arr st final;
+    record_proof_add_prefix st final !undef;
     record_proof_delete st c;
     Clause.set_deleted st.db c;
     match !undef with
@@ -940,6 +999,11 @@ let run_search s budget assumptions =
         invalid_arg "Solver.solve_with: assumption variable out of range")
     assumptions;
   cancel_until st 0;
+  (* one stamp per decision level for [analyze]'s LBD count: a level opens
+     per assumption and per free decision on an unassigned variable *)
+  let max_level = st.nvars + Array.length assumptions in
+  if Array.length st.level_stamp <= max_level then
+    st.level_stamp <- Array.make (max_level + 1) 0;
   (* wall clock, not [Sys.time]: under a multi-domain sweep, process CPU
      time accrues ~jobs× faster and budgets would expire early *)
   let start_time = Unix.gettimeofday () in
@@ -1007,16 +1071,15 @@ let run_search s budget assumptions =
            record_proof_add st [];
            raise Found_unsat
          end;
-         let learnt, blevel, lbd = analyze st confl in
-         Stats.bump_lbd st.stats lbd;
-         record_proof_add_arr st learnt;
+         let blevel = analyze st confl in
+         let learnt = st.learnt and n = st.learnt_size in
+         Stats.bump_lbd st.stats st.learnt_lbd;
+         record_proof_add_prefix st learnt n;
          cancel_until st blevel;
-         (if Array.length learnt = 1 then enqueue st learnt.(0) Clause.cref_undef
+         (if n = 1 then enqueue st learnt.(0) Clause.cref_undef
           else begin
-            let c =
-              Clause.alloc ~learnt:true st.db learnt 0 (Array.length learnt)
-            in
-            Clause.set_lbd st.db c lbd;
+            let c = Clause.alloc ~learnt:true st.db learnt 0 n in
+            Clause.set_lbd st.db c st.learnt_lbd;
             Vec.push st.learnts c;
             attach_clause st c;
             cla_bump st c;
@@ -1078,14 +1141,16 @@ let run_search s budget assumptions =
                  enqueue st l Clause.cref_undef
            end
            else
-             match pick_branch_var st with
-             | None ->
-                 result := Q_sat (extract_model st);
-                 finished := true
-             | Some v ->
-                 st.stats.Stats.decisions <- st.stats.Stats.decisions + 1;
-                 new_decision_level st;
-                 enqueue st (Lit.make v st.phase.(v)) Clause.cref_undef
+             let v = pick_branch_var st in
+             if v < 0 then begin
+               result := Q_sat (extract_model st);
+               finished := true
+             end
+             else begin
+               st.stats.Stats.decisions <- st.stats.Stats.decisions + 1;
+               new_decision_level st;
+               enqueue st (Lit.make v st.phase.(v)) Clause.cref_undef
+             end
          end
        end
      done

@@ -15,6 +15,14 @@
     vivification under an explicit work budget (see {!config}) — emitting
     DRAT add/delete steps so certified runs stay checkable.
 
+    The bookkeeping around propagation builds no lists, closures or sets
+    per conflict: conflict analysis works in per-solver buffers sized once
+    at {!create} and counts the LBD with a level-stamp array, and the
+    decision queue is an int-array heap. The search's work is pinned exactly by the
+    integration tests (decisions, propagations, conflicts, learnt literals,
+    deleted clauses and the LBD histogram), which also bound the minor
+    words allocated per conflict.
+
     Two tuning presets mirror the two solvers used in the paper (siege_v4 and
     MiniSat): {!siege_like} restarts aggressively with a faster activity
     decay, {!minisat_like} uses Luby restarts with the classic decay. Both are

@@ -61,18 +61,9 @@ let iter f v =
     f v.data.(i)
   done
 
-let exists p v =
-  let rec go i = i < v.size && (p v.data.(i) || go (i + 1)) in
-  go 0
-
 let to_list v =
   let rec go i acc = if i < 0 then acc else go (i - 1) (v.data.(i) :: acc) in
   go (v.size - 1) []
-
-let of_list ~dummy l =
-  let v = create ~dummy () in
-  List.iter (push v) l;
-  v
 
 let filter_in_place p v =
   let j = ref 0 in

@@ -32,8 +32,6 @@ val swap_remove : 'a t -> int -> unit
     its place: O(1), does not preserve order. *)
 
 val iter : ('a -> unit) -> 'a t -> unit
-val exists : ('a -> bool) -> 'a t -> bool
 val to_list : 'a t -> 'a list
-val of_list : dummy:'a -> 'a list -> 'a t
 val filter_in_place : ('a -> bool) -> 'a t -> unit
 (** Keeps only elements satisfying the predicate, preserving order. *)

@@ -17,6 +17,11 @@ let strategy name =
 let alu2 = F.Benchmarks.build (Option.get (F.Benchmarks.find "alu2"))
 let too_large = F.Benchmarks.build (Option.get (F.Benchmarks.find "too_large"))
 
+(* larger benchmarks, for the exact-work and allocation pins only *)
+let alu4 = F.Benchmarks.build (Option.get (F.Benchmarks.find "alu4"))
+let c880 = F.Benchmarks.build (Option.get (F.Benchmarks.find "C880"))
+let vda = F.Benchmarks.build (Option.get (F.Benchmarks.find "vda"))
+
 let budget = Sat.Solver.time_budget 60.
 
 let test_benchmark_instances_consistent () =
@@ -245,32 +250,107 @@ let test_greedy_vs_sat_optimality () =
 
 (* The solver is deterministic for a fixed CNF, so its work counters are
    exact: they move only when the search changes or the order in which
-   clauses and watches reach it does. Pinned on two paper-shaped CNFs: alu2
-   one track below its minimum width of 6 (UNSAT, conflict-heavy) and a
-   generated routable instance at the gen-routable benchmark's width
-   (SAT, load-dominated). *)
-let work name graph ~k =
+   clauses and watches reach it does. Pinned on paper-shaped CNFs: alu2
+   one track below its minimum width of 6 (UNSAT, conflict-heavy), a
+   generated routable instance at the gen-routable benchmark's width (SAT,
+   load-dominated), and three runs long enough to cross the parts of the
+   search the first two never reach: too_large W=6 (learnt-database
+   reduction), vda W=10 (an inprocessing round) and alu4's incremental
+   min-width walk (an assumption ladder, reductions and inprocessing on one
+   persistent solver). On those three the learnt literals, deleted clauses
+   and LBD histogram pin conflict analysis's output and reduction's
+   choices as well. *)
+let encode name graph ~k =
   let s = strategy name in
   let encoded =
     E.Csp_encode.encode ?symmetry:s.C.Strategy.symmetry s.C.Strategy.encoding
       (E.Csp.make graph ~k)
   in
-  let _, stats =
-    Sat.Solver.solve ~config:s.C.Strategy.solver encoded.E.Csp_encode.cnf
-  in
+  (s.C.Strategy.solver, encoded.E.Csp_encode.cnf)
+
+let solve_stats name graph ~k =
+  let config, cnf = encode name graph ~k in
+  snd (Sat.Solver.solve ~config cnf)
+
+let work (stats : Sat.Stats.t) =
   Sat.Stats.(stats.decisions, stats.propagations, stats.conflicts)
+
+let learning (stats : Sat.Stats.t) =
+  Sat.Stats.
+    (stats.learnt_literals, stats.deleted_clauses, Array.to_list stats.lbd_hist)
 
 let test_exact_work_counters () =
   let counters = Alcotest.(triple int int int) in
+  let learnt = Alcotest.(triple int int (list int)) in
   Alcotest.check counters "alu2 W=5 ITE-linear-2+muldirect/s1@siege" (924, 3170, 262)
-    (work "ITE-linear-2+muldirect/s1@siege" alu2.F.Benchmarks.graph ~k:5);
+    (work (solve_stats "ITE-linear-2+muldirect/s1@siege" alu2.F.Benchmarks.graph ~k:5));
   let params = { F.Generator.default_params with grid = 16; nets = 400; seed = 11 } in
   let inst = F.Generator.build params F.Generator.Routable in
   Alcotest.check counters
     (F.Generator.name params F.Generator.Routable ^ " direct/s1@minisat")
     (4293, 7344, 0)
-    (work "direct/s1@minisat" inst.F.Generator.graph
-       ~k:(inst.F.Generator.dsatur_bound + 2))
+    (work
+       (solve_stats "direct/s1@minisat" inst.F.Generator.graph
+          ~k:(inst.F.Generator.dsatur_bound + 2)));
+  let name = "too_large W=6 muldirect-3+muldirect/s1@siege" in
+  let stats =
+    solve_stats "muldirect-3+muldirect/s1@siege" too_large.F.Benchmarks.graph ~k:6
+  in
+  Alcotest.check counters name (4965, 28248, 1638) (work stats);
+  Alcotest.check learnt name
+    (11290, 650, [ 0; 10; 56; 185; 376; 438; 308; 134; 74; 34; 9; 8; 4; 1; 0; 0 ])
+    (learning stats);
+  let name = "vda W=10 ITE-linear-2+muldirect/s1@siege" in
+  let stats = solve_stats "ITE-linear-2+muldirect/s1@siege" vda.F.Benchmarks.graph ~k:10 in
+  Alcotest.check counters name (143937, 327694, 9384) (work stats);
+  Alcotest.check learnt name
+    ( 92344,
+      0,
+      [ 0; 16; 161; 294; 603; 987; 1263; 1522; 1489; 1106; 744; 487; 257; 132; 92; 230 ]
+    )
+    (learning stats);
+  Alcotest.(check (pair int int))
+    (name ^ ": inprocessing rounds, strengthened") (1, 12)
+    Sat.Stats.(stats.inprocess_rounds, stats.inprocess_strengthened);
+  let name = "alu4 incremental min-width ITE-linear-2+muldirect/s1@siege" in
+  match
+    C.Incremental_width.minimal_colors
+      ~strategy:(strategy "ITE-linear-2+muldirect/s1@siege")
+      alu4.F.Benchmarks.graph
+  with
+  | Error m -> Alcotest.fail m
+  | Ok r ->
+      Alcotest.(check int) (name ^ ": queries") 3 r.C.Incremental_width.queries;
+      let stats = r.C.Incremental_width.stats in
+      Alcotest.check counters name (91366, 261688, 9825) (work stats);
+      Alcotest.check learnt name
+        ( 94002,
+          4534,
+          [ 0; 5; 104; 194; 558; 1103; 1594; 1831; 1630; 1039; 715; 414; 235; 149; 86; 168 ]
+        )
+        (learning stats)
+
+(* Conflict analysis, decisions and backtracking build no lists, closures,
+   options or sets: analysis works in buffers sized once and the decision
+   heap is a plain int array. What the search still allocates is mostly
+   amortised over many conflicts (learnt-database reduction, inprocessing)
+   or a few words each (boxed activities, the RNG's state). Measured
+   around [solve_with] alone (the solver is built first) on a
+   Table-2-shaped refutation of 7,663 conflicts, the bound leaves about 2x
+   headroom; a per-conflict list, closure or functor application in the
+   loop would exceed it. *)
+let test_search_allocation_per_conflict () =
+  let config, cnf = encode "ITE-log/s1@siege" c880.F.Benchmarks.graph ~k:8 in
+  let solver = Sat.Solver.create ~config cnf in
+  let before = Gc.minor_words () in
+  let result = Sat.Solver.solve_with solver in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "C880 W=8 is unroutable" true (result = Sat.Solver.Q_unsat);
+  let conflicts = (Sat.Solver.solver_stats solver).Sat.Stats.conflicts in
+  let per_conflict = words /. float_of_int conflicts in
+  if per_conflict > 400. then
+    Alcotest.failf "%.0f minor words per conflict over %d conflicts (bound 400)"
+      per_conflict conflicts
 
 let () =
   Alcotest.run "integration"
@@ -297,5 +377,7 @@ let () =
           Alcotest.test_case "serial roundtrip verdict" `Quick
             test_serial_roundtrip_preserves_verdict;
           Alcotest.test_case "exact work counters" `Quick test_exact_work_counters;
+          Alcotest.test_case "search allocation per conflict" `Quick
+            test_search_allocation_per_conflict;
         ] );
     ]

@@ -314,6 +314,11 @@ let only_section (r : Gate.report) =
   | [ s ] -> s
   | _ -> Alcotest.fail "one section expected"
 
+let failing (s : Gate.section_report) =
+  List.filter_map
+    (fun (c : Gate.cell) -> if c.Gate.ok then None else Some c.Gate.cell)
+    s.Gate.cells
+
 let missing (s : Gate.section_report) =
   List.filter_map
     (fun (c : Gate.cell) -> if c.Gate.current = None then Some c.Gate.cell else None)
@@ -337,7 +342,7 @@ let test_gate_equal_passes mk () =
   match s.Gate.kind with
   | Some (Gate.Ratio _) ->
       Alcotest.(check (option (float 1e-9))) "geomean 1" (Some 1.) s.Gate.ratio
-  | Some (Gate.Exponent _) | None ->
+  | Some (Gate.Exponent _ | Gate.Exact) | None ->
       Alcotest.(check bool) "every cell ok" true
         (List.for_all (fun (c : Gate.cell) -> c.Gate.ok) s.Gate.cells)
 
@@ -347,15 +352,16 @@ let test_gate_regression_fails mk () =
   let slower = [ ("solve", [ ("a", 2.4); ("b", 2.0) ]) ] in
   let r = judge mk 1.25 slower in
   Alcotest.(check bool) "regressed" false r.Gate.ok;
-  let failed =
-    List.filter_map
-      (fun (c : Gate.cell) -> if c.Gate.ok then None else Some c.Gate.cell)
-      (only_section r).Gate.cells
-  in
   Alcotest.(check (list string))
-    "failing cells" (match mk 1. with Gate.Exponent _ -> [ "a" ] | Gate.Ratio _ -> [])
-    failed;
-  Alcotest.(check bool) "looser gate passes" true (judge mk 2.0 slower).Gate.ok
+    "failing cells"
+    (match mk 1. with Gate.Exponent _ | Gate.Exact -> [ "a" ] | Gate.Ratio _ -> [])
+    (failing (only_section r));
+  match mk 1. with
+  | Gate.Ratio _ | Gate.Exponent _ ->
+      Alcotest.(check bool) "looser gate passes" true (judge mk 2.0 slower).Gate.ok
+  | Gate.Exact ->
+      Alcotest.(check bool) "no tolerance to loosen" false
+        (judge mk 2.0 slower).Gate.ok
 
 let test_gate_improvement_passes mk () =
   let r = judge mk 1.25 [ ("solve", [ ("a", 0.5); ("b", 1.0) ]) ] in
@@ -426,6 +432,17 @@ let test_gate_exponents_unclamped () =
   Alcotest.(check bool) "-6.3 -> -5.0 passes" true (exponent (-5.0)).Gate.ok;
   Alcotest.(check bool) "-6.3 -> -4.0 fails" false (exponent (-4.0)).Gate.ok
 
+let test_gate_exact_any_change_fails () =
+  (* a work counter that falls is as much a change in the search as one
+     that rises: both need a deliberate baseline bump *)
+  let r = judge (fun _ -> Gate.Exact) 1.25 [ ("solve", [ ("a", 0.5); ("b", 2.0) ]) ] in
+  Alcotest.(check bool) "fewer fails" false r.Gate.ok;
+  Alcotest.(check (list string)) "differing cell" [ "a" ] (failing (only_section r));
+  let text = Gate.render r in
+  Alcotest.(check bool) "differing cell listed" true
+    (contains text "baseline 1, current 0.5");
+  Alcotest.(check bool) "equal cell not listed" false (contains text "baseline 2,")
+
 let test_gate_kind_per_section () =
   (* the bench's perf gate: wall-time sections at 1.25x, props at its own
      >10 % throughput contract — one check, a kind per section *)
@@ -455,20 +472,24 @@ let test_gate_committed_baselines () =
     match of_file path with Ok b -> b | Error m -> Alcotest.fail (path ^ ": " ^ m)
   in
   let perf = read Gate.of_file "../bench/BENCH_seed.json" in
+  let kind name = if name = "work" then Gate.Exact else Gate.Ratio 1.25 in
   let r =
     Gate.check ~baseline:perf
       ~current:
         (List.map
-           (fun (name, cells) -> { Gate.name; kind = Gate.Ratio 1.25; cells })
+           (fun (name, cells) -> { Gate.name; kind = kind name; cells })
            (Gate.sections perf))
   in
   Alcotest.(check bool) "perf seed passes itself" true r.Gate.ok;
   Alcotest.(check (list string))
-    "perf sections" [ "encode"; "solve"; "props" ]
+    "perf sections" [ "encode"; "solve"; "props"; "work" ]
     (List.map (fun (s : Gate.section_report) -> s.Gate.section) r.Gate.sections);
   List.iter
     (fun (s : Gate.section_report) ->
-      Alcotest.(check (option (float 1e-12))) "ratio 1.000" (Some 1.) s.Gate.ratio)
+      Alcotest.(check (option (float 1e-12)))
+        "ratio 1.000"
+        (if s.Gate.section = "work" then None else Some 1.)
+        s.Gate.ratio)
     r.Gate.sections;
   let cells =
     Fit.exponents (read Fit.of_file "../bench/BENCH_scaling_seed.json")
@@ -554,26 +575,34 @@ let () =
         Alcotest.test_case "json roundtrip" `Quick test_gate_json_roundtrip
         :: List.concat_map
              (fun (kind, mk) ->
-               List.map
-                 (fun (name, test) ->
-                   Alcotest.test_case
-                     (Printf.sprintf "%s (%s)" name kind)
-                     `Quick (test mk))
+               List.filter_map
+                 (fun (name, test, tolerance_only) ->
+                   (* [Exact] has no tolerance: nothing to validate, and
+                      an improvement is a change like any other *)
+                   if tolerance_only && mk 1. = Gate.Exact then None
+                   else
+                     Some
+                       (Alcotest.test_case
+                          (Printf.sprintf "%s (%s)" name kind)
+                          `Quick (test mk)))
                  [
-                   ("equal passes", test_gate_equal_passes);
-                   ("regression fails", test_gate_regression_fails);
-                   ("improvement passes", test_gate_improvement_passes);
-                   ("missing section fails", test_gate_missing_section_fails);
-                   ("missing cell fails", test_gate_missing_cell_fails);
-                   ("extra current ignored", test_gate_extra_current_ignored);
-                   ("tolerance validated", test_gate_tolerance_validated);
-                   ("render verdict", test_gate_render_verdict);
+                   ("equal passes", test_gate_equal_passes, false);
+                   ("regression fails", test_gate_regression_fails, false);
+                   ("improvement passes", test_gate_improvement_passes, true);
+                   ("missing section fails", test_gate_missing_section_fails, false);
+                   ("missing cell fails", test_gate_missing_cell_fails, false);
+                   ("extra current ignored", test_gate_extra_current_ignored, false);
+                   ("tolerance validated", test_gate_tolerance_validated, true);
+                   ("render verdict", test_gate_render_verdict, false);
                  ])
              [
                ("ratio", fun t -> Gate.Ratio t);
                ("exponent", fun t -> Gate.Exponent t);
+               ("exact", fun _ -> Gate.Exact);
              ]
         @ [
+            Alcotest.test_case "exact: any change fails" `Quick
+              test_gate_exact_any_change_fails;
             Alcotest.test_case "zero-time ratio cells" `Quick
               test_gate_zero_time_ratio_cells;
             Alcotest.test_case "exponents unclamped" `Quick

@@ -234,6 +234,65 @@ let test_heap_rescore () =
   Heap.rescore h 0;
   Alcotest.(check int) "rescored max" 0 (Heap.remove_max h)
 
+(* Random insert / remove_max / score-bump-plus-rescore sequences against
+   a list model of the members. Scores are small integers, so ties are
+   common: remove_max may return any member of maximal score. *)
+type heap_op = Insert of int | Remove_max | Bump of int * float
+
+let prop_heap_matches_model =
+  QCheck2.Test.make ~count:500 ~name:"heap agrees with a list model"
+    QCheck2.Gen.(
+      let* n = int_range 1 12 in
+      let* scores = list_size (return n) (map float_of_int (int_bound 4)) in
+      let op =
+        oneof
+          [
+            map (fun v -> Insert v) (int_bound (n - 1));
+            return Remove_max;
+            map2 (fun v d -> Bump (v, float_of_int d)) (int_bound (n - 1)) (int_bound 3);
+          ]
+      in
+      let* ops = list_size (int_bound 80) op in
+      return (Array.of_list scores, ops))
+    (fun (scores, ops) ->
+      (* the bumps mutate the scores; a shrink may replay this input *)
+      let scores = Array.copy scores in
+      let h = Heap.create ~scores in
+      let agrees model =
+        Heap.is_empty h = (model = [])
+        && List.for_all
+             (fun v -> Heap.in_heap h v = List.mem v model)
+             (List.init (Array.length scores) Fun.id)
+      in
+      let step model = function
+        | Insert v ->
+            Heap.insert h v;
+            if List.mem v model then model else v :: model
+        | Bump (v, d) ->
+            scores.(v) <- scores.(v) +. d;
+            Heap.rescore h v;
+            model
+        | Remove_max -> (
+            match Heap.remove_max h with
+            | exception Not_found ->
+                if model <> [] then QCheck2.Test.fail_report "Not_found on a non-empty heap";
+                model
+            | v ->
+                if not (List.mem v model) then
+                  QCheck2.Test.fail_reportf "removed %d, not a member" v;
+                if List.exists (fun u -> scores.(u) > scores.(v)) model then
+                  QCheck2.Test.fail_reportf "removed %d, not of maximal score" v;
+                List.filter (( <> ) v) model)
+      in
+      List.fold_left
+        (fun model op ->
+          let model = step model op in
+          if not (agrees model) then QCheck2.Test.fail_report "membership differs";
+          model)
+        [] ops
+      |> ignore;
+      true)
+
 (* --- Vec --- *)
 
 let test_vec_basics () =
@@ -755,6 +814,7 @@ let () =
         [
           Alcotest.test_case "order" `Quick test_heap_order;
           Alcotest.test_case "rescore" `Quick test_heap_rescore;
+          QCheck_alcotest.to_alcotest prop_heap_matches_model;
         ] );
       ( "vec",
         [
