@@ -66,7 +66,7 @@ let strategy_arg =
 
 let budget_arg =
   Arg.(value & opt (some float) None
-       & info [ "budget" ] ~docv:"SEC" ~doc:"CPU-time budget for the SAT solver.")
+       & info [ "budget" ] ~docv:"SEC" ~doc:"Wall-clock budget for the SAT solver, in seconds.")
 
 let budget_of = function
   | None -> Sat.Solver.no_budget
@@ -494,9 +494,9 @@ let sweep_cmd =
   let fallback_arg =
     Arg.(value & flag
          & info [ "fallback" ]
-             ~doc:"Walk the solver ladder on retries: attempt 2 swaps the \
-                   preset for minisat, attempt 3+ runs the plain DPLL \
-                   backend. Records keep the cell's own strategy key.")
+             ~doc:"Walk the solver ladder on retries: attempt 2 and later \
+                   swap the preset for minisat, under the escalated budget. \
+                   Records keep the cell's own strategy key.")
   in
   let backtrace_arg =
     Arg.(value & flag
@@ -518,104 +518,110 @@ let sweep_cmd =
       `Error (true, "--resume requires --out FILE")
     else begin
       let needs_wmin = List.exists (function `Wmin _ -> true | _ -> false) widths in
-      let instances =
-        List.map
-          (fun (spec : F.Benchmarks.spec) ->
+      (* w_min comes from a binary search under 4x the cell budget; one that
+         runs out is a refused input naming the benchmark, not a crash *)
+      let w_min_of (spec : F.Benchmarks.spec) (inst : F.Benchmarks.instance) =
+        if not needs_wmin then Ok None
+        else begin
+          let search_budget =
+            match budget with
+            | None -> Sat.Solver.no_budget
+            | Some s -> Sat.Solver.time_budget (4. *. s)
+          in
+          match
+            C.Binary_search.minimal_width ~budget:search_budget
+              inst.F.Benchmarks.route
+          with
+          | Ok r ->
+              Printf.eprintf "%-10s w_min = %d\n%!" spec.F.Benchmarks.name
+                r.C.Binary_search.w_min;
+              Ok (Some r.C.Binary_search.w_min)
+          | Error m ->
+              Error
+                (Printf.sprintf "width search failed on %s: %s"
+                   spec.F.Benchmarks.name m)
+        end
+      in
+      let rec resolve acc = function
+        | [] -> Ok (List.rev acc)
+        | spec :: rest -> (
             let inst = build_instance spec in
-            let w_min =
-              if not needs_wmin then None
-              else begin
-                let search_budget =
-                  match budget with
-                  | None -> Sat.Solver.no_budget
-                  | Some s -> Sat.Solver.time_budget (4. *. s)
-                in
-                match
-                  C.Binary_search.minimal_width ~budget:search_budget
-                    inst.F.Benchmarks.route
-                with
-                | Ok r ->
-                    Printf.eprintf "%-10s w_min = %d\n%!" spec.F.Benchmarks.name
-                      r.C.Binary_search.w_min;
-                    Some r.C.Binary_search.w_min
-                | Error m ->
-                    failwith
-                      (Printf.sprintf "width search failed on %s: %s"
-                         spec.F.Benchmarks.name m)
-              end
-            in
-            (inst, w_min))
-          benchmarks
+            match w_min_of spec inst with
+            | Ok w_min -> resolve ((inst, w_min) :: acc) rest
+            | Error _ as e -> e)
       in
-      let jobs_list =
-        List.concat_map
-          (fun ((inst : F.Benchmarks.instance), w_min) ->
-            let widths =
-              List.filter_map
-                (fun spec ->
-                  let w =
-                    match spec with
-                    | `Abs w -> w
-                    | `Wmin d -> Option.get w_min + d
-                  in
-                  if w >= 1 then Some w
-                  else begin
-                    Printf.eprintf "skipping %s width %d (< 1)\n%!"
-                      inst.F.Benchmarks.spec.F.Benchmarks.name w;
-                    None
-                  end)
-                widths
-            in
-            List.concat_map
-              (fun w ->
-                List.map
-                  (fun strategy ->
-                    Eng.Sweep.cell
-                      ~benchmark:inst.F.Benchmarks.spec.F.Benchmarks.name
-                      strategy inst.F.Benchmarks.route ~width:w)
-                  strategies)
-              (List.sort_uniq compare widths))
-          instances
-      in
-      let t0 = Unix.gettimeofday () in
-      let config =
-        {
-          Eng.Sweep.default_config with
-          Eng.Sweep.jobs = Option.value jobs ~default:(Eng.Pool.default_jobs ());
-          budget_seconds = budget;
-          max_memory_mb;
-          out;
-          resume;
-          certify;
-          telemetry;
-          retry =
-            {
-              Eng.Sweep.max_attempts = max 1 max_attempts;
-              escalation;
-              fallback_presets = fallback;
-            };
-          capture_backtrace = backtrace;
-          on_progress =
-            Some
-              (fun p ->
-                Printf.eprintf "\r[%d/%d done%s]%!" p.Eng.Sweep.completed
-                  p.Eng.Sweep.total
-                  (if p.Eng.Sweep.skipped > 0 then
-                     Printf.sprintf ", %d resumed" p.Eng.Sweep.skipped
-                   else ""));
-        }
-      in
-      let records = Eng.Sweep.run config jobs_list in
-      Printf.eprintf "\n%!";
-      print_string (Eng.Sweep.render_table records);
-      Printf.printf "%s\n" (Eng.Sweep.summary records);
-      Printf.printf "sweep wall time: %.2fs (%d worker domains)\n"
-        (Unix.gettimeofday () -. t0)
-        config.Eng.Sweep.jobs;
-      (match out with
-      | Some path -> Printf.printf "records: %s\n" path
-      | None -> ());
-      `Ok ()
+      match resolve [] benchmarks with
+      | Error m -> `Error (false, m)
+      | Ok instances ->
+        let jobs_list =
+          List.concat_map
+            (fun ((inst : F.Benchmarks.instance), w_min) ->
+              let widths =
+                List.filter_map
+                  (fun spec ->
+                    let w =
+                      match spec with
+                      | `Abs w -> w
+                      | `Wmin d -> Option.get w_min + d
+                    in
+                    if w >= 1 then Some w
+                    else begin
+                      Printf.eprintf "skipping %s width %d (< 1)\n%!"
+                        inst.F.Benchmarks.spec.F.Benchmarks.name w;
+                      None
+                    end)
+                  widths
+              in
+              List.concat_map
+                (fun w ->
+                  List.map
+                    (fun strategy ->
+                      Eng.Sweep.cell
+                        ~benchmark:inst.F.Benchmarks.spec.F.Benchmarks.name
+                        strategy inst.F.Benchmarks.route ~width:w)
+                    strategies)
+                (List.sort_uniq compare widths))
+            instances
+        in
+        let t0 = Unix.gettimeofday () in
+        let config =
+          {
+            Eng.Sweep.default_config with
+            Eng.Sweep.jobs = Option.value jobs ~default:(Eng.Pool.default_jobs ());
+            budget_seconds = budget;
+            max_memory_mb;
+            out;
+            resume;
+            certify;
+            telemetry;
+            retry =
+              {
+                Eng.Sweep.max_attempts = max 1 max_attempts;
+                escalation;
+                fallback_presets = fallback;
+              };
+            capture_backtrace = backtrace;
+            on_progress =
+              Some
+                (fun p ->
+                  Printf.eprintf "\r[%d/%d done%s]%!" p.Eng.Sweep.completed
+                    p.Eng.Sweep.total
+                    (if p.Eng.Sweep.skipped > 0 then
+                       Printf.sprintf ", %d resumed" p.Eng.Sweep.skipped
+                     else ""));
+          }
+        in
+        let records = Eng.Sweep.run config jobs_list in
+        Printf.eprintf "\n%!";
+        print_string (Eng.Sweep.render_table records);
+        Printf.printf "%s\n" (Eng.Sweep.summary records);
+        Printf.printf "sweep wall time: %.2fs (%d worker domains)\n"
+          (Unix.gettimeofday () -. t0)
+          config.Eng.Sweep.jobs;
+        (match out with
+        | Some path -> Printf.printf "records: %s\n" path
+        | None -> ());
+        `Ok ()
     end
   in
   Cmd.v

@@ -66,6 +66,8 @@ let metered ~telemetry f =
 type answer =
   [ `Colorable of G.Coloring.t | `Uncolorable | `Timeout | `Memout ]
 
+type evidence = [ `Solved of Sat.Cnf.t * Sat.Solver.result | `Unsolved ]
+
 let finish ?certify ?proof ?words_allocated ~strategy
     ~cnf_size:(cnf_vars, cnf_clauses) ~timings ~stats route ~width
     (answer : answer) =
@@ -84,12 +86,14 @@ let finish ?certify ?proof ?words_allocated ~strategy
     | `Memout -> Memout
   in
   let certified =
+    let verified coloring =
+      Result.is_ok (F.Detailed_route.verify route ~width coloring)
+    in
     match (certify, answer) with
-    | Some (cnf, Sat.Solver.Sat model), `Colorable coloring ->
-        Some
-          (Sat.Solver.check_model cnf model
-          && Result.is_ok (F.Detailed_route.verify route ~width coloring))
-    | Some (cnf, _), `Uncolorable -> (
+    | Some (`Solved (cnf, Sat.Solver.Sat model)), `Colorable coloring ->
+        Some (Sat.Solver.check_model cnf model && verified coloring)
+    | Some `Unsolved, `Colorable coloring -> Some (verified coloring)
+    | Some (`Solved (cnf, _)), `Uncolorable -> (
         match proof with
         | Some p -> Some (Result.is_ok (Sat.Drat_check.check cnf p))
         | None -> Some false)
@@ -121,7 +125,6 @@ type request = {
   certify : bool;
   telemetry : bool;
   trace : Obs.Trace.t option;
-  backend : [ `Cdcl | `Dpll ];
 }
 
 let default_request =
@@ -132,7 +135,6 @@ let default_request =
     certify = false;
     telemetry = false;
     trace = None;
-    backend = `Cdcl;
   }
 
 let with_strategy strategy r = { r with strategy }
@@ -141,26 +143,9 @@ let with_proof want_proof r = { r with want_proof }
 let with_certify certify r = { r with certify }
 let with_telemetry telemetry r = { r with telemetry }
 let with_trace trace r = { r with trace = Some trace }
-let with_backend backend r = { r with backend }
-
-(* The DPLL backend is the retry ladder's last rung: no learnt-clause
-   database, so a cell that memouts under CDCL may still finish here. The
-   only budget DPLL understands is a decision bound, so [max_conflicts]
-   stands in for it; no proof is recorded. *)
-let solve_dpll budget cnf =
-  let max_decisions =
-    Option.value budget.Sat.Solver.max_conflicts ~default:2_000_000
-  in
-  let result =
-    match Sat.Dpll.solve ~max_decisions cnf with
-    | Sat.Dpll.Sat model -> Sat.Solver.Sat model
-    | Sat.Dpll.Unsat -> Sat.Solver.Unsat
-    | Sat.Dpll.Unknown -> Sat.Solver.Unknown
-  in
-  (result, Sat.Stats.create ())
 
 let submit
-    { strategy; budget; want_proof; certify; telemetry; trace; backend } route
+    { strategy; budget; want_proof; certify; telemetry; trace } route
     ~width =
   if width < 1 then invalid_arg "Flow.submit: width < 1";
   (* an attached trace takes over the budget's event hook: the run's
@@ -173,17 +158,8 @@ let submit
   let csp, to_graph =
     timed (fun () -> E.Csp.make (F.Conflict_graph.build route) ~k:width)
   in
-  let proof, solve =
-    match backend with
-    | `Cdcl ->
-        let proof =
-          if want_proof || certify then Some (Sat.Proof.create ()) else None
-        in
-        ( proof,
-          fun cnf ->
-            Sat.Solver.solve ~config:strategy.Strategy.solver ~budget ?proof cnf
-        )
-    | `Dpll -> (None, solve_dpll budget)
+  let proof =
+    if want_proof || certify then Some (Sat.Proof.create ()) else None
   in
   Obs.Trace.record_opt trace Obs.Trace.Solve_begin width 0;
   (* telemetry spans encode, solve and decode *)
@@ -195,7 +171,9 @@ let submit
                 strategy.Strategy.encoding csp)
         in
         let (result, stats), solving =
-          timed (fun () -> solve encoded.E.Csp_encode.cnf)
+          timed (fun () ->
+              Sat.Solver.solve ~config:strategy.Strategy.solver ~budget ?proof
+                encoded.E.Csp_encode.cnf)
         in
         let answer =
           match result with
@@ -209,7 +187,7 @@ let submit
   let cnf = encoded.E.Csp_encode.cnf in
   let run =
     finish
-      ?certify:(if certify then Some (cnf, result) else None)
+      ?certify:(if certify then Some (`Solved (cnf, result)) else None)
       ?proof ?words_allocated ~strategy
       ~cnf_size:(Sat.Cnf.num_vars cnf, Sat.Cnf.num_clauses cnf)
       ~timings:{ to_graph; to_cnf; solving } ~stats route ~width answer

@@ -62,7 +62,7 @@ exception Decode_mismatch of string
 (** {1 From solver answer to run}
 
     The second half of the flow, shared by every way of reaching an answer:
-    the cold pipeline ({!submit}, under either backend), the warm
+    the cold pipeline ({!submit}), the warm
     incremental ladder ({!Incremental_width.query}) and the solve server's
     sessions, including their solver-free greedy answers. *)
 
@@ -83,8 +83,18 @@ type answer =
   [ `Colorable of Fpgasat_graph.Coloring.t | `Uncolorable | `Timeout | `Memout ]
 (** A width query's verdict, before it becomes a {!run}. *)
 
+type evidence = [ `Solved of Fpgasat_sat.Cnf.t * Fpgasat_sat.Solver.result | `Unsolved ]
+(** What {!finish} certifies an answer against. [`Solved (cnf, result)] is
+    the CNF the answer was solved on and the solver's result: a colouring
+    is certified by {!Fpgasat_sat.Solver.check_model} of the model against
+    [cnf] plus {!Fpgasat_fpga.Detailed_route.verify}, and an [`Uncolorable]
+    answer by checking the proof against [cnf] with
+    {!Fpgasat_sat.Drat_check}. [`Unsolved] is a colouring found without a
+    solver, such as a session's stored DSATUR colouring: no model exists,
+    so {!Fpgasat_fpga.Detailed_route.verify} alone certifies it. *)
+
 val finish :
-  ?certify:Fpgasat_sat.Cnf.t * Fpgasat_sat.Solver.result ->
+  ?certify:evidence ->
   ?proof:Fpgasat_sat.Proof.t ->
   ?words_allocated:int ->
   strategy:Strategy.t ->
@@ -97,14 +107,12 @@ val finish :
   run
 (** Turns an answer into a {!run}: a colouring becomes a detailed routing
     of the global route (raising {!Decode_mismatch} when the architecture
-    rejects it). [certify] is the CNF the answer was solved on and the
-    solver's result: when given, a colouring is certified by
-    {!Fpgasat_sat.Solver.check_model} plus
-    {!Fpgasat_fpga.Detailed_route.verify} and an [`Uncolorable] answer by
-    checking [proof] with {!Fpgasat_sat.Drat_check} ([Some false] without
-    one). [words_allocated] is given exactly when telemetry was asked for;
-    the telemetry then rates [stats] over [timings.solving]. [cnf_size] is
-    the [(vars, clauses)] of the encoded problem. *)
+    rejects it). When [certify] is given, the answer is certified against
+    it as {!evidence} describes; an [`Uncolorable] answer without a
+    [proof] gets [Some false]. [words_allocated] is given exactly when
+    telemetry was asked for; the telemetry then rates [stats] over
+    [timings.solving]. [cnf_size] is the [(vars, clauses)] of the encoded
+    problem. *)
 
 (** {1 Requests}
 
@@ -137,18 +145,11 @@ type request = {
       (** Record the run's lifecycle — a solve span plus solver events via
           {!Fpgasat_obs.Trace.sink}, which replaces any [on_event] hook
           already on the budget. *)
-  backend : [ `Cdcl | `Dpll ];
-      (** [`Dpll] runs the plain DPLL solver instead of CDCL — the last
-          rung of the sweep supervisor's fallback ladder. DPLL honours only
-          [budget.max_conflicts] (as a decision bound, default 2M) and
-          records no proof, so a certified UNSAT answer is impossible
-          ([certified = Some false] when requested); SAT answers still
-          certify via model checking. *)
 }
 
 val default_request : request
 (** {!Strategy.best_single}, no budget, no proof, no certification, no
-    telemetry, no trace, [`Cdcl]. *)
+    telemetry, no trace. *)
 
 val with_strategy : Strategy.t -> request -> request
 val with_budget : Fpgasat_sat.Solver.budget -> request -> request
@@ -156,7 +157,6 @@ val with_proof : bool -> request -> request
 val with_certify : bool -> request -> request
 val with_telemetry : bool -> request -> request
 val with_trace : Fpgasat_obs.Trace.t -> request -> request
-val with_backend : [ `Cdcl | `Dpll ] -> request -> request
 
 val submit : request -> Fpgasat_fpga.Global_route.t -> width:int -> run
 (** Decides detailed routability of a global routing with [width] tracks,

@@ -13,23 +13,17 @@ type ladder = {
   mutable queries : int;
 }
 
-let prepare ?(strategy = Strategy.best_single) graph =
-  let lower = max 1 (G.Clique.lower_bound graph) in
-  let upper = max lower (G.Greedy.upper_bound graph) in
-  let csp = E.Csp.make graph ~k:upper in
-  let encoded =
-    E.Csp_encode.encode ?symmetry:strategy.Strategy.symmetry
-      strategy.Strategy.encoding csp
-  in
-  (* the selector-augmented formula starts as a flat arena copy of the
-     encoded CNF (a blit, not a clause-by-clause rebuild) *)
+(* The encoded problem plus one selector per colour: assuming it switches
+   the colour off. The formula starts as a flat arena copy of the encoded
+   CNF (a blit, not a clause-by-clause rebuild). Under definitional
+   emission the encoder's (vertex, colour) definitions are already in the
+   copied arena, so the selector clauses stay binary (~sel_c | ~d_v,c)
+   instead of re-expanding the indexing pattern. Deterministic: a rebuild
+   yields the same formula, selector variables included. *)
+let augment encoded ~upper =
   let cnf = Sat.Cnf.copy encoded.E.Csp_encode.cnf in
-  (* one selector per colour: assuming it switches the colour off. Under
-     definitional emission the encoder's (vertex, colour) definitions are
-     already in the copied arena, so the selector clauses stay binary
-     (~sel_c | ~d_v,c) instead of re-expanding the indexing pattern. *)
   let selectors = Array.init upper (fun _ -> Sat.Cnf.fresh_var cnf) in
-  for v = 0 to G.Graph.num_vertices graph - 1 do
+  for v = 0 to E.Csp.num_variables encoded.E.Csp_encode.csp - 1 do
     for c = 0 to upper - 1 do
       Sat.Cnf.start_clause cnf;
       Sat.Cnf.push_lit cnf (Sat.Lit.neg_of selectors.(c));
@@ -42,6 +36,17 @@ let prepare ?(strategy = Strategy.best_single) graph =
       Sat.Cnf.commit_clause cnf
     done
   done;
+  (cnf, selectors)
+
+let prepare ?(strategy = Strategy.best_single) graph =
+  let lower = max 1 (G.Clique.lower_bound graph) in
+  let upper = max lower (G.Greedy.upper_bound graph) in
+  let csp = E.Csp.make graph ~k:upper in
+  let encoded =
+    E.Csp_encode.encode ?symmetry:strategy.Strategy.symmetry
+      strategy.Strategy.encoding csp
+  in
+  let cnf, selectors = augment encoded ~upper in
   let solver = Sat.Solver.create ~config:strategy.Strategy.solver cnf in
   {
     csp;
@@ -63,6 +68,10 @@ let cnf_size ladder =
   let cnf = ladder.encoded.E.Csp_encode.cnf in
   (Sat.Cnf.num_vars cnf, Sat.Cnf.num_clauses cnf)
 
+(* rebuilt rather than kept: certified warm answers are rare, and a kept
+   copy would grow every session's resident set for all its life *)
+let cnf ladder = fst (augment ladder.encoded ~upper:ladder.upper)
+
 let query ?(budget = Sat.Solver.no_budget) ladder ~width =
   if width < 1 then invalid_arg "Incremental_width.query: width < 1";
   (* the formula is sized at the DSATUR upper bound; any larger width is
@@ -74,11 +83,12 @@ let query ?(budget = Sat.Solver.no_budget) ladder ~width =
         Sat.Lit.pos ladder.selectors.(w + i))
   in
   match Sat.Solver.solve_with ~budget ~assumptions ladder.solver with
-  | Sat.Solver.Q_unsat -> `Uncolorable
-  | Sat.Solver.Q_unknown -> `Timeout
-  | Sat.Solver.Q_memout -> `Memout
+  | Sat.Solver.Q_unsat -> (`Uncolorable, Sat.Solver.Unsat)
+  | Sat.Solver.Q_unknown -> (`Timeout, Sat.Solver.Unknown)
+  | Sat.Solver.Q_memout -> (`Memout, Sat.Solver.Memout)
   | Sat.Solver.Q_sat model ->
-      `Colorable (Flow.decode ladder.encoded ladder.csp model)
+      ( `Colorable (Flow.decode ladder.encoded ladder.csp model),
+        Sat.Solver.Sat model )
 
 (* walk downward; a model using fewer colours lets us skip widths, and
    [best] always holds a colouring within [w + 1] colours *)
@@ -91,7 +101,7 @@ let walk_down ?(budget = Sat.Solver.no_budget) ladder =
     in
     if w < ladder.lower then settled ()
     else
-      match query ~budget ladder ~width:w with
+      match fst (query ~budget ladder ~width:w) with
       | `Uncolorable -> settled ()
       | `Timeout -> Error "budget exhausted during width search"
       | `Memout -> Error "memory budget exhausted during width search"

@@ -15,7 +15,7 @@
       its backtrace — never killing the sweep;
     - {b retry with escalation}: with [retry.max_attempts > 1] a
       non-decisive cell is retried with geometrically escalated budgets
-      and, optionally, the fallback preset ladder siege → minisat → DPLL;
+      and, optionally, the fallback preset ladder siege → minisat;
       a cell that fails every attempt is {e quarantined}: recorded with
       [quarantined = true], skipped by future [--resume]s, counted in
       {!summary} — instead of crash-looping;
@@ -37,15 +37,14 @@
 
     Text tables over sweep results are pure views: see {!render_table}. *)
 
-type fallback = Primary | Fallback_minisat | Fallback_dpll
+type fallback = Primary | Fallback_minisat
 (** Which rung of the retry ladder an attempt runs on. [Primary] is the
     job's own strategy; [Fallback_minisat] swaps the solver preset for
-    {!Fpgasat_sat.Solver.minisat_like}; [Fallback_dpll] runs the plain DPLL
-    backend ({!Fpgasat_core.Flow.submit} of a request with
-    [backend = `Dpll]). *)
+    {!Fpgasat_sat.Solver.minisat_like}, on attempt 2 and every later one,
+    under the escalated budget. *)
 
 val fallback_name : fallback -> string
-(** ["primary"], ["minisat"], ["dpll"]. *)
+(** ["primary"], ["minisat"]. *)
 
 type job = {
   benchmark : string;
@@ -88,8 +87,8 @@ type retry = {
       (** Geometric budget growth: attempt [n] runs with [budget_seconds]
           and [max_memory_mb] scaled by [escalation^(n-1)]. *)
   fallback_presets : bool;
-      (** Walk the ladder siege → minisat → DPLL on attempts 2 and ≥3
-          instead of only re-running the primary strategy. *)
+      (** Run attempts 2 and later on the minisat preset instead of only
+          re-running the primary strategy. *)
 }
 
 val no_retry : retry

@@ -259,10 +259,13 @@ let run_route server (req : P.request) strategy ~arrival ~suspect ~kill_worker
           let budget = effective_budget server req ~arrival in
           Obs.Trace.record server.trace Obs.Trace.Solve_begin req.P.width 0;
           let run, served_by =
-            if req.P.certify then begin
-              (* a warm UNSAT is relative to selector assumptions — not a
-                 standalone refutation — so certified answers take the full
-                 cold pipeline *)
+            if req.P.certify && req.P.width < Session.fewest_colors session
+            then begin
+              (* no colouring this narrow is known, so the answer may be
+                 unroutable, and a warm refutation holds only under
+                 selector assumptions: a standalone one needs the cold
+                 pipeline. At or above the session's fewest colours the
+                 answer is routable and certifies warm. *)
               Atomic.incr server.counters.cold;
               let request =
                 C.Flow.(
@@ -276,8 +279,8 @@ let run_route server (req : P.request) strategy ~arrival ~suspect ~kill_worker
             end
             else begin
               Atomic.incr server.counters.warm;
-              ( Session.route_warm ~budget ~telemetry:req.P.telemetry session
-                  ~width:req.P.width,
+              ( Session.route_warm ~budget ~telemetry:req.P.telemetry
+                  ~certify:req.P.certify session ~width:req.P.width,
                 P.Warm )
             end
           in

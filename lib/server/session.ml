@@ -16,6 +16,11 @@ type t = {
   cnf_hash : int64;
   prepare_seconds : float;
   mutex : Mutex.t;
+  (* the fewest colours of any colouring this session has seen: the DSATUR
+     colouring's, lowered by min_width results and warm routable answers.
+     Lowered under [mutex]; atomic so that deciding where a certified
+     request goes never waits for a query in progress *)
+  fewest : int Atomic.t;
 }
 
 let create ~benchmark strategy (inst : F.Benchmarks.instance) =
@@ -36,6 +41,7 @@ let create ~benchmark strategy (inst : F.Benchmarks.instance) =
     cnf_hash = C.Incremental_width.cnf_hash ladder;
     prepare_seconds = Unix.gettimeofday () -. t0;
     mutex = Mutex.create ();
+    fewest = Atomic.make upper;
   }
 
 let benchmark t = t.benchmark
@@ -76,15 +82,22 @@ let diff (before : Sat.Stats.t) (after : Sat.Stats.t) =
   d.Sat.Stats.peak_heap_words <- after.peak_heap_words;
   d
 
-let route_warm ?(budget = Sat.Solver.no_budget) ?(telemetry = false) t ~width =
+let locked t f =
   Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+
+let fewest_colors t = Atomic.get t.fewest
+let saw_colors t n = Atomic.set t.fewest (min (Atomic.get t.fewest) n)
+
+let route_warm ?(budget = Sat.Solver.no_budget) ?(telemetry = false)
+    ?(certify = false) t ~width =
+  locked t (fun () ->
       (* graph and CNF translation are amortised over the session: this
          query paid neither *)
-      let finish ~solving ~stats ?words_allocated answer =
-        C.Flow.finish ?words_allocated ~strategy:t.strategy
+      let finish ~solving ~stats ?words_allocated evidence answer =
+        C.Flow.finish
+          ?certify:(if certify then Some (Lazy.force evidence) else None)
+          ?words_allocated ~strategy:t.strategy
           ~cnf_size:(t.cnf_vars, t.cnf_clauses)
           ~timings:{ C.Flow.to_graph = 0.; to_cnf = 0.; solving }
           ~stats t.route ~width answer
@@ -94,21 +107,28 @@ let route_warm ?(budget = Sat.Solver.no_budget) ?(telemetry = false) t ~width =
            solver *)
         finish ~solving:0. ~stats:(Sat.Stats.create ())
           ?words_allocated:(if telemetry then Some 0 else None)
-          (`Colorable t.greedy)
+          (lazy `Unsolved) (`Colorable t.greedy)
       else begin
         let before = snapshot (C.Incremental_width.stats t.ladder) in
-        let (answer, solving), words_allocated =
+        let ((answer, result), solving), words_allocated =
           C.Flow.metered ~telemetry (fun () ->
               let t0 = Unix.gettimeofday () in
-              let answer = C.Incremental_width.query ~budget t.ladder ~width in
-              (answer, Unix.gettimeofday () -. t0))
+              let query = C.Incremental_width.query ~budget t.ladder ~width in
+              (query, Unix.gettimeofday () -. t0))
         in
+        (match answer with
+        | `Colorable coloring -> saw_colors t (G.Coloring.num_colors coloring)
+        | `Uncolorable | `Timeout | `Memout -> ());
         let stats = diff before (snapshot (C.Incremental_width.stats t.ladder)) in
-        finish ~solving ~stats ?words_allocated answer
+        finish ~solving ~stats ?words_allocated
+          (lazy (`Solved (C.Incremental_width.cnf t.ladder, result)))
+          answer
       end)
 
 let min_width ?(budget = Sat.Solver.no_budget) t =
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () -> Result.map fst (C.Incremental_width.walk_down ~budget t.ladder))
+  locked t (fun () ->
+      match C.Incremental_width.walk_down ~budget t.ladder with
+      | Ok (w, _) ->
+          saw_colors t w;
+          Ok w
+      | Error _ as e -> e)

@@ -173,9 +173,10 @@ let flow_timeout_run width =
   }
 
 let test_retry_walks_fallback_ladder () =
-  (* primary attempts time out; the minisat rung answers. The record must be
-     decisive, show two attempts, and keep the cell's own strategy name so
-     resume keys stay stable. *)
+  (* the primary attempt and the first minisat attempt time out; attempt 3
+     reruns the minisat rung under the escalated budget and answers. The
+     record must be decisive, show three attempts, and keep the cell's own
+     strategy name so resume keys stay stable. *)
   let rungs = ref [] in
   let job =
     {
@@ -187,7 +188,9 @@ let test_retry_walks_fallback_ladder () =
           rungs := Sweep.fallback_name fallback :: !rungs;
           match fallback with
           | Sweep.Primary -> flow_timeout_run unsat_width
-          | Sweep.Fallback_minisat | Sweep.Fallback_dpll ->
+          | Sweep.Fallback_minisat when List.length !rungs = 2 ->
+              flow_timeout_run unsat_width
+          | Sweep.Fallback_minisat ->
               Flow.(
                 submit
                   (default_request
@@ -206,11 +209,12 @@ let test_retry_walks_fallback_ladder () =
     }
   in
   let r = List.hd (Sweep.run config [ job ]) in
-  Alcotest.(check (list string)) "ladder order" [ "primary"; "minisat" ]
+  Alcotest.(check (list string)) "ladder order"
+    [ "primary"; "minisat"; "minisat" ]
     (List.rev !rungs);
   Alcotest.(check bool) "fallback answered decisively" true
     (Run_record.decisive r);
-  Alcotest.(check (option int)) "attempts counted" (Some 2)
+  Alcotest.(check (option int)) "attempts counted" (Some 3)
     r.Run_record.attempts;
   Alcotest.(check string) "record keeps the cell's strategy" "ladder-strategy"
     r.Run_record.strategy;

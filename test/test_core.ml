@@ -134,36 +134,33 @@ let test_flow_rejects_bad_width () =
   Alcotest.check_raises "width 0" (Invalid_argument "Flow.submit: width < 1")
     (fun () -> ignore (Flow.submit Flow.default_request small_route ~width:0))
 
-(* The sweep supervisor's last fallback rung: DPLL through the same
-   pipeline must agree with CDCL, certify its models, and refuse to certify
-   an UNSAT it has no proof for. Plain DPLL exhausts its decision bound at
-   this graph's DSATUR width under most encodings; muldirect/s1 decides it
-   in well under a second. *)
-let test_flow_dpll_backend () =
-  let verdict backend width =
-    let run =
-      Flow.(
-        submit
-          (default_request
-          |> with_strategy (strategy "muldirect/s1")
-          |> with_backend backend |> with_certify true))
-        small_route ~width
-    in
-    (Flow.outcome_name run.Flow.outcome, run)
+(* Flow.finish certifies against the evidence it is given: a model is
+   checked against the CNF and the routing verified; a colouring found
+   without a solver is certified by the routing check alone; a refutation
+   without a proof is refused; no evidence means no certification. *)
+let test_flow_finish_evidence () =
+  let finish ?certify answer =
+    Flow.finish ?certify ~strategy:Strategy.best_single ~cnf_size:(0, 0)
+      ~timings:{ Flow.to_graph = 0.; to_cnf = 0.; solving = 0. }
+      ~stats:(Sat.Stats.create ()) small_route ~width:small_ub answer
   in
-  let check_width width ~expect ~certified =
-    let cdcl, _ = verdict `Cdcl width in
-    let dpll, run = verdict `Dpll width in
-    let ctx = Printf.sprintf "width %d" width in
-    Alcotest.(check string) (ctx ^ ": dpll verdict") expect dpll;
-    Alcotest.(check string) (ctx ^ ": dpll agrees with cdcl") cdcl dpll;
-    Alcotest.(check (option bool)) (ctx ^ ": certified") certified
-      run.Flow.certified;
-    Alcotest.(check bool) (ctx ^ ": no proof") true (run.Flow.proof = None)
-  in
-  check_width small_ub ~expect:"routable" ~certified:(Some true);
-  if G.Graph.num_edges small_graph > 0 then
-    check_width 1 ~expect:"unroutable" ~certified:(Some false)
+  let greedy = `Colorable (G.Greedy.dsatur small_graph) in
+  Alcotest.(check (option bool)) "unsolved colouring: verify alone"
+    (Some true) (finish ~certify:`Unsolved greedy).Flow.certified;
+  Alcotest.(check (option bool)) "no evidence" None
+    (finish greedy).Flow.certified;
+  let empty = Sat.Cnf.create () in
+  Alcotest.(check (option bool)) "refutation without a proof" (Some false)
+    (finish ~certify:(`Solved (empty, Sat.Solver.Unsat)) `Uncolorable)
+      .Flow.certified;
+  let cnf = Sat.Cnf.create () in
+  Sat.Cnf.add_clause cnf [ Sat.Lit.pos (Sat.Cnf.fresh_var cnf) ];
+  Alcotest.(check (option bool)) "a model that fails the CNF" (Some false)
+    (finish ~certify:(`Solved (cnf, Sat.Solver.Sat [| false |])) greedy)
+      .Flow.certified;
+  Alcotest.(check (option bool)) "a model that satisfies the CNF" (Some true)
+    (finish ~certify:(`Solved (cnf, Sat.Solver.Sat [| true |])) greedy)
+      .Flow.certified
 
 (* --- binary search --- *)
 
@@ -315,7 +312,7 @@ let () =
           Alcotest.test_case "all encodings agree" `Slow test_flow_all_encodings_agree;
           Alcotest.test_case "budget timeout" `Quick test_flow_budget_timeout;
           Alcotest.test_case "bad width rejected" `Quick test_flow_rejects_bad_width;
-          Alcotest.test_case "dpll backend" `Quick test_flow_dpll_backend;
+          Alcotest.test_case "finish evidence" `Quick test_flow_finish_evidence;
         ] );
       ( "binary-search",
         [

@@ -342,6 +342,93 @@ let test_sweep_resume_tolerates_torn_line () =
       Alcotest.(check int) "full result set" (List.length first)
         (List.length second))
 
+(* The retry ladder honours the budget on every rung. Attempts 3 and later
+   rerun the minisat preset under the escalated budget (0.2, 0.4 and 0.8 s
+   here), so a cell that times out everywhere still ends in a few seconds
+   and writes its record. A rung that never polls the wall clock, as plain
+   DPLL did not, ran this cell for over a minute with no record. *)
+let test_sweep_fallback_ladder_honours_budget () =
+  let alu4 = F.Benchmarks.build (Option.get (F.Benchmarks.find "alu4")) in
+  let strategy =
+    match Strategy.of_name "muldirect/none@siege" with
+    | Ok s -> s
+    | Error m -> Alcotest.fail m
+  in
+  let out = Filename.temp_file "fpgasat-ladder" ".jsonl" in
+  Sys.remove out;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists out then Sys.remove out)
+    (fun () ->
+      let t0 = Unix.gettimeofday () in
+      let records =
+        Sweep.run
+          {
+            Sweep.default_config with
+            Sweep.jobs = 1;
+            budget_seconds = Some 0.2;
+            out = Some out;
+            retry =
+              { Sweep.max_attempts = 3; escalation = 2.0; fallback_presets = true };
+          }
+          [
+            Sweep.cell ~benchmark:"alu4" strategy alu4.F.Benchmarks.route
+              ~width:8;
+          ]
+      in
+      let elapsed = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "ended within 5 s (%.2f s)" elapsed)
+        true (elapsed < 5.);
+      (match records with
+      | [ r ] ->
+          Alcotest.(check (option int)) "three attempts" (Some 3)
+            r.Run_record.attempts
+      | _ -> Alcotest.fail "expected one record");
+      let lines =
+        In_channel.with_open_text out In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> String.trim l <> "")
+      in
+      Alcotest.(check int) "record written" 1 (List.length lines))
+
+(* A width search that runs out of budget is a refused input: the CLI names
+   the benchmark and exits with cmdliner's error status, never with an
+   uncaught exception (125). *)
+let test_cli_width_search_out_of_budget () =
+  let err = Filename.temp_file "fpgasat-cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+      let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+      let exe =
+        Filename.concat
+          (Filename.dirname Sys.executable_name)
+          "../bin/fpgasat.exe"
+      in
+      let pid =
+        Unix.create_process exe
+          [| "fpgasat"; "sweep"; "--benchmarks"; "C880"; "--budget"; "0.001" |]
+          Unix.stdin null fd
+      in
+      Unix.close fd;
+      Unix.close null;
+      let _, status = Unix.waitpid [] pid in
+      let message = In_channel.with_open_text err In_channel.input_all in
+      Alcotest.(check bool)
+        (Printf.sprintf "exit 124 (stderr: %s)" (String.trim message))
+        true
+        (status = Unix.WEXITED 124);
+      let contains s sub =
+        let n = String.length sub in
+        let rec at i =
+          i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+        in
+        at 0
+      in
+      Alcotest.(check bool) "names the benchmark" true
+        (contains message "width search failed on C880"))
+
 let test_sweep_budget_times_out () =
   (* a job that never finishes unless the deadline interrupt fires *)
   let spin =
@@ -621,6 +708,10 @@ let () =
           Alcotest.test_case "resume tolerates torn line" `Quick
             test_sweep_resume_tolerates_torn_line;
           Alcotest.test_case "budget times out" `Quick test_sweep_budget_times_out;
+          Alcotest.test_case "fallback ladder honours the budget" `Quick
+            test_sweep_fallback_ladder_honours_budget;
+          Alcotest.test_case "width search out of budget is a CLI error" `Quick
+            test_cli_width_search_out_of_budget;
           Alcotest.test_case "certify records certified" `Quick
             test_sweep_certify_records_certified;
           Alcotest.test_case "table is a view" `Quick test_sweep_render_table_is_a_view;

@@ -144,6 +144,23 @@ let test_drat_real_deletion_counted () =
       Alcotest.(check int) "no ignored deletion" 0 stats.Drat.ignored_deletions
   | Error e -> Alcotest.fail (Format.asprintf "%a" Drat.pp_error e)
 
+(* A deletion names a literal set: order and repeated literals do not
+   matter, each deletion removes one live copy, and a deletion that names
+   a variable the checker never saw is an ignored no-op. *)
+let test_drat_deletion_matches_literal_sets () =
+  let cnf = cnf_of 3 [ [ 1; 2 ]; [ -1; 2 ]; [ 1; -2 ]; [ -1; -2 ]; [ 1; 3 ] ] in
+  let proof = Proof.create () in
+  Proof.delete proof [ Lit.pos 2; Lit.pos 0; Lit.pos 2 ];
+  Proof.delete proof [ Lit.pos 0; Lit.pos 2 ];
+  Proof.delete proof [ Lit.pos 40 ];
+  Proof.add proof [ Lit.pos 1 ];
+  match Drat.check cnf proof with
+  | Ok stats ->
+      Alcotest.(check int) "one clause removed" 1 stats.Drat.deletions;
+      Alcotest.(check int) "second copy and unknown variable ignored" 2
+        stats.Drat.ignored_deletions
+  | Error e -> Alcotest.fail (Format.asprintf "%a" Drat.pp_error e)
+
 let test_is_rat () =
   (* F = {(a|b), (-a|c), (-b|c)}: (a) is not RUP — assuming -a propagates
      nothing to conflict — but is RAT on a: the sole resolvent (c) is RUP *)
@@ -181,6 +198,164 @@ let prop_drat_agrees_with_reference =
           Result.is_ok (Drat.check cnf proof)
           = Result.is_ok (Drat.check_reference cnf proof)
       | (Solver.Sat _ | Solver.Unknown | Solver.Memout), _ -> true)
+
+(* Random 3-CNFs near the satisfiability threshold: about half are UNSAT,
+   with refutations long enough to mutate. *)
+let gen_threshold_cnf =
+  QCheck2.Gen.(
+    let* nclauses = int_range 38 46 in
+    let* clauses =
+      list_repeat nclauses
+        (list_repeat 3
+           (let* v = int_range 0 9 in
+            let* sign = bool in
+            return (Lit.make v sign)))
+    in
+    return (10, clauses))
+
+let refutation cnf =
+  let proof = Proof.create () in
+  match Solver.solve ~proof cnf with
+  | Solver.Unsat, _ -> Some proof
+  | (Solver.Sat _ | Solver.Unknown | Solver.Memout), _ -> None
+
+let rebuild steps =
+  let proof = Proof.create () in
+  List.iter
+    (function
+      | Proof.Add lits -> Proof.add proof lits
+      | Proof.Delete lits -> Proof.delete proof lits)
+    steps;
+  proof
+
+(* (a) Soundness: a refutation of F checked against F minus one clause.
+   Whenever the checker accepts, the smaller formula really is UNSAT. *)
+let prop_drat_sound_on_weakened_formula =
+  QCheck2.Test.make ~count:200
+    ~name:"checker acceptance on a weakened formula implies UNSAT"
+    QCheck2.Gen.(pair gen_threshold_cnf nat)
+    (fun ((nvars, clauses), pick) ->
+      match refutation (build (nvars, clauses)) with
+      | None -> true
+      | Some proof -> (
+          let drop = pick mod List.length clauses in
+          let weaker =
+            build (nvars, List.filteri (fun i _ -> i <> drop) clauses)
+          in
+          match Drat.check weaker proof with
+          | Error _ -> true
+          | Ok _ -> (
+              match Fpgasat_sat.Dpll.solve weaker with
+              | Fpgasat_sat.Dpll.Unsat -> true
+              | Fpgasat_sat.Dpll.Sat _ | Fpgasat_sat.Dpll.Unknown -> false)))
+
+(* (b) A refutation with one lemma dropped or replaced by a random clause.
+   The fast checker accepts everything the reference accepts (it also
+   accepts RAT lemmas and stops at a top-level conflict), and where it
+   rejects a step the reference has rejected that step or an earlier
+   one. *)
+let prop_drat_mutated_agrees_with_reference =
+  QCheck2.Test.make ~count:200
+    ~name:"mutated refutations: checker at least as permissive as reference"
+    QCheck2.Gen.(
+      let random_clause =
+        let* width = int_range 0 3 in
+        list_repeat width
+          (let* v = int_range 0 9 in
+           let* sign = bool in
+           return (Lit.make v sign))
+      in
+      quad gen_threshold_cnf nat bool random_clause)
+    (fun (input, pick, replace, clause) ->
+      let cnf = build input in
+      match refutation cnf with
+      | None -> true
+      | Some proof -> (
+          let steps = Proof.steps proof in
+          let lemmas =
+            List.filter_map
+              (fun (i, step) ->
+                match step with Proof.Add _ -> Some i | Proof.Delete _ -> None)
+              (List.mapi (fun i step -> (i, step)) steps)
+          in
+          let target = List.nth lemmas (pick mod List.length lemmas) in
+          let mutated =
+            rebuild
+              (List.concat
+                 (List.mapi
+                    (fun i step ->
+                      if i <> target then [ step ]
+                      else if replace then [ Proof.Add clause ]
+                      else [])
+                    steps))
+          in
+          let fast = Drat.check cnf mutated in
+          match (Drat.check_reference cnf mutated, fast) with
+          | Ok (), Error _ -> false
+          | Ok (), Ok _ -> true
+          | ( Error (Drat.Bad_step { step_index = j; _ }),
+              Error (Drat.Bad_step { step_index = i; _ }) ) ->
+              j <= i
+          | Error (Drat.No_empty_clause _), Error (Drat.Bad_step _) -> false
+          | Error _, _ -> true))
+
+(* (c) The two must-fail files of the certify smoke: the alu2 W=5 log
+   refutation checked against the W=6 CNF, which is routable, and the same
+   proof with its 11th line (step 10) replaced by the unit clause 1. Both
+   checkers refuse them at the same step. Without its final empty clause the
+   proof still passes [check], which stops at the top-level conflict, and
+   fails [check_reference], which needs the empty clause spelled out. *)
+let test_drat_refuses_ci_must_fail_files () =
+  let module F = Fpgasat_fpga in
+  let module E = Fpgasat_encodings in
+  let module C = Fpgasat_core in
+  let alu2 = F.Benchmarks.build (Option.get (F.Benchmarks.find "alu2")) in
+  let strategy = Result.get_ok (C.Strategy.of_name "log") in
+  let encode width =
+    (E.Csp_encode.encode ?symmetry:strategy.C.Strategy.symmetry
+       strategy.C.Strategy.encoding
+       (E.Csp.make alu2.F.Benchmarks.graph ~k:width))
+      .E.Csp_encode.cnf
+  in
+  let proof =
+    match
+      (C.Flow.submit
+         C.Flow.(default_request |> with_strategy strategy |> with_proof true)
+         alu2.F.Benchmarks.route ~width:5)
+        .C.Flow.proof
+    with
+    | Some p -> p
+    | None -> Alcotest.fail "no proof recorded"
+  in
+  let w5 = encode 5 and w6 = encode 6 in
+  let bad_at what expected = function
+    | Error (Drat.Bad_step { step_index; _ }) ->
+        Alcotest.(check int) what expected step_index
+    | Error e -> Alcotest.fail (Format.asprintf "%s: %a" what Drat.pp_error e)
+    | Ok _ -> Alcotest.fail (what ^ ": accepted")
+  in
+  Alcotest.(check bool) "the proof itself verifies" true
+    (Result.is_ok (Drat.check w5 proof));
+  bad_at "wrong CNF" 15 (Drat.check w6 proof);
+  bad_at "wrong CNF, reference" 15
+    (Result.map ignore (Drat.check_reference w6 proof));
+  let steps = Proof.steps proof in
+  let replaced =
+    rebuild
+      (List.mapi
+         (fun i step -> if i = 10 then Proof.Add [ Lit.of_dimacs 1 ] else step)
+         steps)
+  in
+  bad_at "replaced 11th line" 10 (Drat.check w5 replaced);
+  bad_at "replaced 11th line, reference" 10
+    (Result.map ignore (Drat.check_reference w5 replaced));
+  let truncated =
+    rebuild (List.filteri (fun i _ -> i < List.length steps - 1) steps)
+  in
+  Alcotest.(check bool) "no final empty clause: check accepts" true
+    (Result.is_ok (Drat.check w5 truncated));
+  Alcotest.(check bool) "no final empty clause: reference refuses" true
+    (Result.is_error (Drat.check_reference w5 truncated))
 
 let test_proof_parse_roundtrip () =
   let proof = Proof.create () in
@@ -453,12 +628,21 @@ let () =
              test_drat_tolerates_absent_deletion
         :: Alcotest.test_case "counts real deletions" `Quick
              test_drat_real_deletion_counted
+        :: Alcotest.test_case "deletion matches literal sets" `Quick
+             test_drat_deletion_matches_literal_sets
         :: Alcotest.test_case "is_rup" `Quick test_is_rup
         :: Alcotest.test_case "is_rat" `Quick test_is_rat
         :: Alcotest.test_case "proof parse round trip" `Quick
              test_proof_parse_roundtrip
+        :: Alcotest.test_case "refuses the CI must-fail files" `Quick
+             test_drat_refuses_ci_must_fail_files
         :: qtests
-             [ prop_drat_checks_solver_proofs; prop_drat_agrees_with_reference ]
+             [
+               prop_drat_checks_solver_proofs;
+               prop_drat_agrees_with_reference;
+               prop_drat_sound_on_weakened_formula;
+               prop_drat_mutated_agrees_with_reference;
+             ]
       );
       ( "restart-limit",
         [ Alcotest.test_case "geometric clamps to max_int" `Quick

@@ -804,6 +804,80 @@ let test_server_cache_hit_on_repeat () =
             | _ -> false)
       | _ -> Alcotest.fail "stats_json not an object")
 
+(* Certified routes on both sides of the session's colouring boundary.
+   alu2 under the paper's best strategy has clique bound 5, w_min 6 and
+   DSATUR bound 7. A certified route at a width the session has coloured
+   is answered warm and certified there: from the stored colouring at the
+   DSATUR bound (verify alone), from the ladder's checked model once
+   min_width has coloured 6. Below, at 5, it takes the cold pipeline and
+   returns a checked refutation. Each certified request moves exactly one
+   of the [warm] and [cold] counters. *)
+let test_server_certified_warm_and_cold () =
+  let strategy = "ITE-linear-2+muldirect/s1@siege" in
+  with_server (fun server socket ->
+      let counter key =
+        match J.find (Srv.Server.stats_json server) key with
+        | Some (J.Int n) -> n
+        | _ -> Alcotest.fail ("stats without " ^ key)
+      in
+      let field run key =
+        match run with
+        | Some run -> J.find run key
+        | None -> Alcotest.fail "route response without run payload"
+      in
+      let certified width ~served_by ~outcome =
+        let ctx what = Printf.sprintf "width %d: %s" width what in
+        let warm0 = counter "warm" and cold0 = counter "cold" in
+        let resp =
+          call_ok socket
+            (P.request ~strategy ~benchmark:"alu2" ~width ~certify:true
+               P.Route)
+        in
+        Alcotest.(check (option string)) (ctx "served by")
+          (Some served_by)
+          (Option.map P.served_by_name resp.P.served_by);
+        Alcotest.(check bool) (ctx "outcome") true
+          (field resp.P.run "outcome" = Some (J.String outcome));
+        Alcotest.(check bool) (ctx "certified") true
+          (field resp.P.run "certified" = Some (J.Bool true));
+        let dwarm = counter "warm" - warm0 and dcold = counter "cold" - cold0 in
+        Alcotest.(check (pair int int)) (ctx "one of warm or cold")
+          (if served_by = "warm" then (1, 0) else (0, 1))
+          (dwarm, dcold)
+      in
+      certified 7 ~served_by:"warm" ~outcome:"routable";
+      certified 5 ~served_by:"cold" ~outcome:"unroutable";
+      let mw =
+        call_ok socket (P.request ~strategy ~benchmark:"alu2" P.Min_width)
+      in
+      Alcotest.(check (option int)) "min_width" (Some 6) mw.P.min_width;
+      certified 6 ~served_by:"warm" ~outcome:"routable")
+
+(* The session side of the same boundary: fewest_colors starts at the
+   DSATUR bound and falls with routable answers; a warm certified answer
+   at or above it carries a checked model, and a warm unroutable answer is
+   never certified, since it holds only under selector assumptions. *)
+let test_session_fewest_colors () =
+  let strat = strategy "ITE-linear-2+muldirect/s1@siege" in
+  let session = Srv.Session.create ~benchmark:"alu2" strat alu2 in
+  let _, upper = Srv.Session.bounds session in
+  Alcotest.(check int) "starts at the DSATUR bound" upper
+    (Srv.Session.fewest_colors session);
+  let run = Srv.Session.route_warm ~certify:true session ~width:6 in
+  Alcotest.(check string) "w_min is routable" "routable"
+    (C.Flow.outcome_name run.C.Flow.outcome);
+  Alcotest.(check (option bool)) "model and routing checked" (Some true)
+    run.C.Flow.certified;
+  Alcotest.(check bool) "lowered by a warm routable answer" true
+    (Srv.Session.fewest_colors session <= 6);
+  let refuted = Srv.Session.route_warm ~certify:true session ~width:5 in
+  Alcotest.(check string) "below w_min" "unroutable"
+    (C.Flow.outcome_name refuted.C.Flow.outcome);
+  Alcotest.(check (option bool)) "warm refutation not certified" (Some false)
+    refuted.C.Flow.certified;
+  Alcotest.(check (option bool)) "uncertified by default" None
+    (Srv.Session.route_warm session ~width:6).C.Flow.certified
+
 let test_server_concurrent_clients () =
   with_server (fun _server socket ->
       let widths = [| 5; 6; 7; 5; 6; 7 |] in
@@ -1382,12 +1456,16 @@ let () =
             test_warm_min_width_agrees_with_search;
           Alcotest.test_case "warm min_width agrees with minimal_colors"
             `Slow test_warm_min_width_agrees_with_minimal_colors;
+          Alcotest.test_case "fewest colours bound certified answers" `Slow
+            test_session_fewest_colors;
         ] );
       ( "server",
         [
           Alcotest.test_case "ping and stats" `Quick test_server_ping_and_stats;
           Alcotest.test_case "cache hit on repeat" `Slow
             test_server_cache_hit_on_repeat;
+          Alcotest.test_case "certified routes warm and cold" `Slow
+            test_server_certified_warm_and_cold;
           Alcotest.test_case "concurrent clients" `Slow
             test_server_concurrent_clients;
           Alcotest.test_case "bad requests are protocol errors" `Quick
