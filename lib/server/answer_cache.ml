@@ -40,17 +40,20 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let find t key =
+let lookup t key ~counted =
   locked t (fun () ->
       match Hashtbl.find_opt t.tbl key with
       | Some e ->
           t.tick <- t.tick + 1;
           e.last_use <- t.tick;
-          t.hits <- t.hits + 1;
+          if counted then t.hits <- t.hits + 1;
           Some e.value
       | None ->
-          t.misses <- t.misses + 1;
+          if counted then t.misses <- t.misses + 1;
           None)
+
+let find t key = lookup t key ~counted:true
+let recheck t key = lookup t key ~counted:false
 
 (* O(capacity) scan at eviction: the cache is small (hundreds) and only
    full inserts pay it, so a linked-list LRU would be complexity without a

@@ -31,6 +31,11 @@ val find : 'a t -> string -> 'a option
 (** Refreshes the entry's recency on hit; counts hit/miss. Recency is not
     journaled — after a restart the replay order stands in for it. *)
 
+val recheck : 'a t -> string -> 'a option
+(** {!find} without counting a hit or a miss: a second look at a key
+    whose {!find} already counted, for an answer that may have arrived
+    since. Refreshes recency on hit. *)
+
 val add : 'a t -> string -> 'a -> unit
 (** Inserts (or refreshes) the binding, evicting the least-recently-used
     entry when the cache is full. With a journal attached, the entry is

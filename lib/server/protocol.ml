@@ -210,6 +210,14 @@ let response_to_json r =
     @ opt_field "payload" Fun.id r.payload
     @ opt_field "error" (fun s -> J.String s) r.message)
 
+(* [run] is the last field an [ok] route response carries, so its bytes
+   are those of the response without it, with the record spliced in
+   before the closing brace. *)
+let route_ok_line ?id ~served_by run_text =
+  let head = J.to_string (response_to_json (response ?id ~served_by Done)) in
+  String.concat ""
+    [ String.sub head 0 (String.length head - 1); {|,"run":|}; run_text; "}" ]
+
 let response_of_json j =
   let ( let* ) = Result.bind in
   let* () =

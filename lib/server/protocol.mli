@@ -150,5 +150,14 @@ val response :
   response
 
 val response_to_json : response -> Fpgasat_obs.Json.t
+
+val route_ok_line : ?id:string -> served_by:served_by -> string -> string
+(** [route_ok_line ?id ~served_by text] is the [ok] route response line
+    for the run record whose {!Fpgasat_obs.Json.to_string} is [text]:
+    byte-identical to
+    [Json.to_string (response_to_json (response ?id ~served_by ~run Done))],
+    without rendering the record again. The server stores answers as
+    such text and writes every [ok] route response with this. *)
+
 val response_of_json : Fpgasat_obs.Json.t -> (response, string) result
 val parse_response : string -> (response, string) result

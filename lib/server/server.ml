@@ -1,5 +1,4 @@
 module J = Fpgasat_obs.Json
-module Obs = Fpgasat_obs
 module Sat = Fpgasat_sat
 module F = Fpgasat_fpga
 module C = Fpgasat_core
@@ -53,14 +52,14 @@ type t = {
   config : config;
   listener : Unix.file_descr;
   pool : Eng.Pool.Persistent.t;
-  cache : J.t Answer_cache.t;
+  (* each answer's fpgasat.run/1 record as [J.to_string] renders it, once *)
+  cache : string Answer_cache.t;
   sessions : (string, session_slot) Hashtbl.t;
   sessions_mutex : Mutex.t;
   mutable session_tick : int;
   (* structural-hash -> worker deaths attributed to requests on that CNF *)
   poison : (string, int) Hashtbl.t;
   poison_mutex : Mutex.t;
-  trace : Obs.Trace.t;
   counters : counters;
   stop_requested : bool Atomic.t;
   drained : bool Atomic.t;
@@ -87,6 +86,20 @@ let evict_lru_session server =
   | Some (key, _) -> Hashtbl.remove server.sessions key
   | None -> ()
 
+(* The live session under [key], its recency refreshed. Called with the
+   map mutex held. *)
+let touch_session server key =
+  server.session_tick <- server.session_tick + 1;
+  match Hashtbl.find_opt server.sessions key with
+  | Some slot ->
+      slot.last_use <- server.session_tick;
+      Some slot.session
+  | None -> None
+
+let live_session server ~benchmark strategy =
+  Mutex.protect server.sessions_mutex (fun () ->
+      touch_session server (session_key benchmark strategy))
+
 (* Creation happens under the map mutex: the encode cost is paid once per
    (benchmark × strategy) even when identical first requests race, at the
    price of serialising distinct first-time encodes. *)
@@ -94,16 +107,10 @@ let get_session server ~benchmark strategy =
   match F.Benchmarks.find benchmark with
   | None -> Error (Printf.sprintf "unknown benchmark %S" benchmark)
   | Some spec ->
-      Mutex.lock server.sessions_mutex;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock server.sessions_mutex)
-        (fun () ->
+      Mutex.protect server.sessions_mutex (fun () ->
           let key = session_key benchmark strategy in
-          server.session_tick <- server.session_tick + 1;
-          match Hashtbl.find_opt server.sessions key with
-          | Some slot ->
-              slot.last_use <- server.session_tick;
-              Ok slot.session
+          match touch_session server key with
+          | Some session -> Ok session
           | None ->
               let session =
                 Session.create ~benchmark strategy (F.Benchmarks.build spec)
@@ -204,60 +211,90 @@ let strategy_of_request (req : P.request) =
   | None -> Ok C.Strategy.best_single
   | Some name -> C.Strategy.of_name name
 
-let record_json ~benchmark ~wall_seconds run =
-  Eng.Run_record.to_json
-    (Eng.Run_record.of_run ~benchmark ~wall_seconds run)
+let render response = J.to_string (P.response_to_json response)
+
+(* ---------- width requests ---------- *)
+
+(* A width request's identity on its session: the answer-cache key, and
+   the structural hash that quarantine charges worker deaths to. *)
+type target = { session : Session.t; key : string; hash : string }
+
+let target (req : P.request) session ~width ~certify =
+  let key =
+    Session.cache_key session ~width ~budget_signature:(P.budget_signature req)
+      ~certify
+  in
+  { session; key; hash = structural_hash_of_key key }
+
+(* The checks every width request passes, in this order, before the cache
+   or a solver sees it: quarantine refusal, the [kill_worker] test fault
+   and deadline shedding. [Some line] is the request's answer. *)
+let screen server (req : P.request) target ~arrival ~kill_worker =
+  let deaths = poison_count server target.hash in
+  if deaths >= quarantine_threshold then begin
+    Atomic.incr server.counters.quarantined;
+    Some
+      (render
+         (P.response ?id:req.P.id
+            ~message:
+              (Printf.sprintf
+                 "quarantined: requests on this problem killed %d workers"
+                 deaths)
+            P.Failed))
+  end
+  else begin
+    if kill_worker then raise Eng.Pool.Persistent.Worker_killed;
+    Option.map render (shed_expired server req ~arrival)
+  end
+
+let serve_hit server (req : P.request) text =
+  Atomic.incr server.counters.cache_hits;
+  P.route_ok_line ?id:req.P.id ~served_by:P.Cache text
 
 (* ---------- request execution (runs on a pool worker) ---------- *)
 
-(* The admission path both width ops share: session lookup, the request's
-   cache key, quarantine refusal, the [kill_worker] test fault and deadline
-   shedding. Only an admitted request reaches [serve session key].
+(* The admission path both width ops share on a worker: the session and
+   the target (unless the conn thread already found them, as [known]),
+   then {!screen}. Only an admitted request reaches [serve target].
 
    [suspect] is the per-request channel from worker to conn thread: the
    worker writes the request's structural hash before anything can crash,
    so when the ticket comes back as a worker death the conn thread knows
    which content to blame. The ticket's own mutex orders the write before
    the read. *)
-let admit server (req : P.request) strategy ~arrival ~suspect ~kill_worker
-    ~width ~certify serve =
-  match get_session server ~benchmark:req.P.benchmark strategy with
-  | Error m -> P.response ?id:req.P.id ~message:m P.Failed
-  | Ok session -> (
-      let key =
-        Session.cache_key session ~width
-          ~budget_signature:(P.budget_signature req) ~certify
-      in
-      let hash = structural_hash_of_key key in
-      suspect := Some hash;
-      if poison_count server hash >= quarantine_threshold then begin
-        Atomic.incr server.counters.quarantined;
-        P.response ?id:req.P.id
-          ~message:
-            (Printf.sprintf
-               "quarantined: requests on this problem killed %d workers"
-               (poison_count server hash))
-          P.Failed
-      end
-      else begin
-        if kill_worker then raise Eng.Pool.Persistent.Worker_killed;
-        match shed_expired server req ~arrival with
-        | Some shed -> shed
-        | None -> serve session key
-      end)
+let admit server (req : P.request) strategy ?known ~arrival ~suspect
+    ~kill_worker ~width ~certify serve =
+  let found =
+    match known with
+    | Some target -> Ok target
+    | None ->
+        get_session server ~benchmark:req.P.benchmark strategy
+        |> Result.map (fun session -> target req session ~width ~certify)
+  in
+  match found with
+  | Error m -> render (P.response ?id:req.P.id ~message:m P.Failed)
+  | Ok target -> (
+      suspect := Some target.hash;
+      match screen server req target ~arrival ~kill_worker with
+      | Some line -> line
+      | None -> serve target)
 
-let run_route server (req : P.request) strategy ~arrival ~suspect ~kill_worker
-    =
+let run_route server (req : P.request) strategy ?known ~arrival ~suspect
+    ~kill_worker () =
   let t0 = Unix.gettimeofday () in
-  admit server req strategy ~arrival ~suspect ~kill_worker ~width:req.P.width
-    ~certify:req.P.certify (fun session key ->
-      match Answer_cache.find server.cache key with
-      | Some run ->
-          Atomic.incr server.counters.cache_hits;
-          P.response ?id:req.P.id ~served_by:P.Cache ~run P.Done
+  admit server req strategy ?known ~arrival ~suspect ~kill_worker
+    ~width:req.P.width ~certify:req.P.certify (fun { session; key; _ } ->
+      (* A request the conn thread found in a live session has had its
+         counted lookup; the look after the queue is for a twin request
+         answered meanwhile. *)
+      let cached =
+        if Option.is_none known then Answer_cache.find server.cache key
+        else Answer_cache.recheck server.cache key
+      in
+      match cached with
+      | Some text -> serve_hit server req text
       | None ->
           let budget = effective_budget server req ~arrival in
-          Obs.Trace.record server.trace Obs.Trace.Solve_begin req.P.width 0;
           let run, served_by =
             if req.P.certify && req.P.width < Session.fewest_colors session
             then begin
@@ -284,25 +321,29 @@ let run_route server (req : P.request) strategy ~arrival ~suspect ~kill_worker
                 P.Warm )
             end
           in
-          Obs.Trace.record server.trace Obs.Trace.Solve_end req.P.width
-            (if C.Flow.decisive run.C.Flow.outcome then 1 else 0);
           let wall_seconds = Unix.gettimeofday () -. t0 in
-          let json = record_json ~benchmark:req.P.benchmark ~wall_seconds run in
+          let text =
+            J.to_string
+              (Eng.Run_record.to_json
+                 (Eng.Run_record.of_run ~benchmark:req.P.benchmark
+                    ~wall_seconds run))
+          in
           (* only decisive answers are cacheable: a timeout says nothing
              about a retry *)
           if C.Flow.decisive run.C.Flow.outcome then
-            Answer_cache.add server.cache key json;
-          P.response ?id:req.P.id ~served_by ~run:json P.Done)
+            Answer_cache.add server.cache key text;
+          P.route_ok_line ?id:req.P.id ~served_by text)
 
 let run_min_width server (req : P.request) strategy ~arrival ~suspect
-    ~kill_worker =
+    ~kill_worker () =
   admit server req strategy ~arrival ~suspect ~kill_worker ~width:0
-    ~certify:false (fun session _key ->
+    ~certify:false (fun { session; _ } ->
       let budget = effective_budget server req ~arrival in
       Atomic.incr server.counters.warm;
-      match Session.min_width ~budget session with
-      | Ok w -> P.response ?id:req.P.id ~served_by:P.Warm ~min_width:w P.Done
-      | Error m -> P.response ?id:req.P.id ~message:m P.Failed)
+      render
+        (match Session.min_width ~budget session with
+        | Ok w -> P.response ?id:req.P.id ~served_by:P.Warm ~min_width:w P.Done
+        | Error m -> P.response ?id:req.P.id ~message:m P.Failed))
 
 (* ---------- server stats ---------- *)
 
@@ -346,7 +387,6 @@ let stats_json server =
            ( "restart_budget",
              J.Int (Eng.Pool.Persistent.restart_budget server.pool) );
          ]);
-      ("trace_events", J.Int (Obs.Trace.total server.trace));
     ]
 
 (* ---------- stop machinery ---------- *)
@@ -372,27 +412,55 @@ let submit_pooled server thunk ~id ~suspect =
   match Eng.Pool.Persistent.submit server.pool thunk with
   | Eng.Pool.Persistent.Rejected ->
       Atomic.incr server.counters.overloaded;
-      P.response ?id ~message:"request queue is full" P.Overloaded
+      render (P.response ?id ~message:"request queue is full" P.Overloaded)
   | Eng.Pool.Persistent.Stopped ->
-      P.response ?id ~message:"server is draining" P.Shutting_down
+      render (P.response ?id ~message:"server is draining" P.Shutting_down)
   | Eng.Pool.Persistent.Accepted ticket -> (
       match Eng.Pool.Persistent.wait ticket with
-      | Ok response -> response
+      | Ok line -> line
       | Error e when Eng.Failure.error_is_worker_death e ->
           Atomic.incr server.counters.errors;
           (match !suspect with
           | Some hash -> record_poison server hash
           | None -> ());
-          P.response ?id
-            ~message:
-              "worker died executing this request; it has been recorded \
-               against the problem's quarantine budget"
-            P.Failed
+          render
+            (P.response ?id
+               ~message:
+                 "worker died executing this request; it has been recorded \
+                  against the problem's quarantine budget"
+               P.Failed)
       | Error e ->
           Atomic.incr server.counters.errors;
-          P.response ?id
-            ~message:(Printf.sprintf "%s: %s" e.Eng.Pool.exn_class e.message)
-            P.Failed)
+          render
+            (P.response ?id
+               ~message:
+                 (Printf.sprintf "%s: %s" e.Eng.Pool.exn_class e.message)
+               P.Failed))
+
+(* A route request on a live session is screened here, and a cache hit
+   is answered here: no queue, no worker. A miss carries its target to
+   the worker; a request whose session is not built yet, and a
+   [worker_kill] fault, take the whole admission path on the pool. *)
+let route server (req : P.request) strategy ~arrival ~suspect ~kill_worker =
+  let pooled ?known () =
+    submit_pooled server ~id:req.P.id ~suspect
+      (run_route server req strategy ?known ~arrival ~suspect ~kill_worker)
+  in
+  match
+    if kill_worker then None
+    else live_session server ~benchmark:req.P.benchmark strategy
+  with
+  | None -> pooled ()
+  | Some session -> (
+      let known =
+        target req session ~width:req.P.width ~certify:req.P.certify
+      in
+      match screen server req known ~arrival ~kill_worker:false with
+      | Some line -> line
+      | None -> (
+          match Answer_cache.find server.cache known.key with
+          | Some text -> serve_hit server req text
+          | None -> pooled ~known ()))
 
 (* The [fault] field, honoured only under --test-ops. Conn-thread faults
    (journal tear, self-SIGKILL) happen here; [Worker_kill] is threaded into
@@ -426,55 +494,45 @@ let resolve_fault server (req : P.request) =
 let handle_request server line =
   Atomic.incr server.counters.requests;
   let arrival = Unix.gettimeofday () in
-  let response =
-    match P.parse_request line with
-    | Error m ->
-        Atomic.incr server.counters.errors;
-        P.response ~message:m P.Failed
-    | Ok req -> (
-        let id = req.P.id in
-        match resolve_fault server req with
-        | Error m ->
-            Atomic.incr server.counters.errors;
-            P.response ?id ~message:m P.Failed
-        | Ok kill_worker -> (
-            match req.P.op with
-            | P.Ping ->
-                P.response ?id
-                  ~payload:(J.Obj [ ("pong", J.Bool true) ])
-                  P.Done
-            | P.Stats -> P.response ?id ~payload:(stats_json server) P.Done
-            | P.Shutdown ->
-                request_stop server;
-                P.response ?id P.Done
-            | P.Sleep seconds when server.config.test_ops ->
-                let suspect = ref None in
-                submit_pooled server ~id ~suspect (fun () ->
-                    if kill_worker then
-                      raise Eng.Pool.Persistent.Worker_killed;
-                    Unix.sleepf (Float.max 0. seconds);
-                    P.response ?id P.Done)
-            | P.Sleep _ ->
-                Atomic.incr server.counters.errors;
-                P.response ?id ~message:"op \"sleep\" requires --test-ops"
-                  P.Failed
-            | P.Route | P.Min_width -> (
-                match strategy_of_request req with
-                | Error m ->
-                    Atomic.incr server.counters.errors;
-                    P.response ?id ~message:("bad strategy: " ^ m) P.Failed
-                | Ok strategy ->
-                    let suspect = ref None in
-                    submit_pooled server ~id ~suspect (fun () ->
-                        match req.P.op with
-                        | P.Route ->
-                            run_route server req strategy ~arrival ~suspect
-                              ~kill_worker
-                        | _ ->
-                            run_min_width server req strategy ~arrival
-                              ~suspect ~kill_worker))))
+  let fail ?id m =
+    Atomic.incr server.counters.errors;
+    render (P.response ?id ~message:m P.Failed)
   in
-  J.to_string (P.response_to_json response)
+  match P.parse_request line with
+  | Error m -> fail m
+  | Ok req -> (
+      let id = req.P.id in
+      match resolve_fault server req with
+      | Error m -> fail ?id m
+      | Ok kill_worker -> (
+          match req.P.op with
+          | P.Ping ->
+              render
+                (P.response ?id ~payload:(J.Obj [ ("pong", J.Bool true) ]) P.Done)
+          | P.Stats ->
+              render (P.response ?id ~payload:(stats_json server) P.Done)
+          | P.Shutdown ->
+              request_stop server;
+              render (P.response ?id P.Done)
+          | P.Sleep seconds when server.config.test_ops ->
+              let suspect = ref None in
+              submit_pooled server ~id ~suspect (fun () ->
+                  if kill_worker then raise Eng.Pool.Persistent.Worker_killed;
+                  Unix.sleepf (Float.max 0. seconds);
+                  render (P.response ?id P.Done))
+          | P.Sleep _ -> fail ?id "op \"sleep\" requires --test-ops"
+          | P.Route | P.Min_width -> (
+              match strategy_of_request req with
+              | Error m -> fail ?id ("bad strategy: " ^ m)
+              | Ok strategy -> (
+                  let suspect = ref None in
+                  match req.P.op with
+                  | P.Route ->
+                      route server req strategy ~arrival ~suspect ~kill_worker
+                  | _ ->
+                      submit_pooled server ~id ~suspect
+                        (run_min_width server req strategy ~arrival ~suspect
+                           ~kill_worker)))))
 
 (* ---------- connection handling ---------- *)
 
@@ -483,23 +541,105 @@ let unregister_conn server fd =
   server.conns <- List.filter (fun (_, f) -> f != fd) server.conns;
   Mutex.unlock server.conns_mutex
 
+(* The longest request line read, newline excluded. Real requests are a
+   few hundred bytes; without a cap, a stream that never sends a newline
+   would be buffered whole. *)
+let max_request_line = 1 lsl 20
+
+(* A connection's request lines, read straight from the socket so that a
+   line is never buffered past [max_request_line]. *)
+type reader = {
+  fd : Unix.file_descr;
+  chunk : Bytes.t;
+  mutable pos : int;  (* chunk.[pos .. len) is read but not yet consumed *)
+  mutable len : int;
+  partial : Buffer.t;  (* the start of a line that spans reads *)
+}
+
+let reader fd =
+  {
+    fd;
+    chunk = Bytes.create 65536;
+    pos = 0;
+    len = 0;
+    partial = Buffer.create 256;
+  }
+
+let rec refill r =
+  match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
+  | n ->
+      r.pos <- 0;
+      r.len <- n;
+      n
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> refill r
+  | exception Unix.Unix_error _ -> 0
+
+let take_partial r =
+  let line = Buffer.contents r.partial in
+  Buffer.reset r.partial;
+  line
+
+(* The next line without its newline; an unterminated last line counts,
+   as with [input_line]. [`Too_long] as soon as a line passes
+   [max_request_line] bytes, without reading the rest of it. *)
+let rec next_line r =
+  let rec newline i =
+    if i >= r.len then None
+    else if Bytes.get r.chunk i = '\n' then Some i
+    else newline (i + 1)
+  in
+  match newline r.pos with
+  | Some i ->
+      let n = i - r.pos in
+      if Buffer.length r.partial + n > max_request_line then `Too_long
+      else begin
+        Buffer.add_subbytes r.partial r.chunk r.pos n;
+        r.pos <- i + 1;
+        `Line (take_partial r)
+      end
+  | None ->
+      Buffer.add_subbytes r.partial r.chunk r.pos (r.len - r.pos);
+      r.pos <- r.len;
+      if Buffer.length r.partial > max_request_line then `Too_long
+      else if refill r > 0 then next_line r
+      else if Buffer.length r.partial > 0 then `Line (take_partial r)
+      else `Eof
+
+let send fd line =
+  let s = line ^ "\n" in
+  let rec go off =
+    if off < String.length s then
+      match Unix.single_write_substring fd s off (String.length s - off) with
+      | n -> go (off + n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+  in
+  go 0
+
 let handle_conn server fd =
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
+  let input = reader fd in
   let rec loop () =
-    match input_line ic with
-    | exception (End_of_file | Sys_error _) -> ()
-    | line when String.trim line = "" -> loop ()
-    | line ->
-        let reply = handle_request server line in
-        (match
-           output_string oc reply;
-           output_char oc '\n';
-           flush oc
-         with
-        | () -> ()
-        | exception Sys_error _ -> ());
-        if not (stop_requested server) then loop ()
+    match next_line input with
+    | `Eof -> ()
+    | `Too_long ->
+        Atomic.incr server.counters.requests;
+        Atomic.incr server.counters.errors;
+        (* the rest of the line is never read: the connection ends here *)
+        (try
+           send fd
+             (render
+                (P.response
+                   ~message:
+                     (Printf.sprintf "request line longer than %d bytes"
+                        max_request_line)
+                   P.Failed))
+         with Unix.Unix_error _ -> ())
+    | `Line line when String.trim line = "" -> loop ()
+    | `Line line -> (
+        match send fd (handle_request server line) with
+        | () -> if not (stop_requested server) then loop ()
+        (* the client hung up before its answer: only this connection
+           ends *)
+        | exception Unix.Unix_error _ -> ())
   in
   Fun.protect
     ~finally:(fun () ->
@@ -564,7 +704,19 @@ let reclaim_socket path =
         (Printf.sprintf "%s exists and is not a socket; refusing to remove it"
            path)
 
+(* The journal keeps each line as the run object plus [cache_key], so
+   the stored text is parsed back for it. The text came from
+   [J.to_string], so the parse cannot fail, and rendering a replayed line
+   gives the text the answer was first served with. *)
+let run_of_text text =
+  match J.of_string text with
+  | Ok run -> run
+  | Error m -> invalid_arg ("Server.run_of_text: " ^ m)
+
 let start config =
+  (* A client that hangs up before its answer must cost its connection
+     only: the write fails with EPIPE instead of killing the process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (* Journal first: an un-attachable cache file (locked by a live server,
      unwritable path) must fail before we own the socket. *)
   let cache = Answer_cache.create ~capacity:config.cache_capacity () in
@@ -572,8 +724,8 @@ let start config =
   | None -> ()
   | Some path -> (
       match
-        Answer_cache.attach_journal cache ~path ~to_json:Fun.id
-          ~of_json:Option.some
+        Answer_cache.attach_journal cache ~path ~to_json:run_of_text
+          ~of_json:(fun run -> Some (J.to_string run))
       with
       | Ok _replayed -> ()
       | Error m -> failwith (Printf.sprintf "cache journal %s: %s" path m)));
@@ -599,7 +751,6 @@ let start config =
       session_tick = 0;
       poison = Hashtbl.create 8;
       poison_mutex = Mutex.create ();
-      trace = Obs.Trace.create ();
       counters =
         {
           requests = Atomic.make 0;
@@ -651,7 +802,6 @@ let stop server =
     (try Unix.unlink server.config.socket_path with Unix.Unix_error _ -> ())
   end
 
-let trace server = server.trace
 let socket_path server = server.config.socket_path
 
 let run config =

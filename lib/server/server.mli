@@ -8,13 +8,16 @@
       later width query.
     - {b Answer cache} ({!Answer_cache}): decisive answers keyed by
       CNF structural hash × strategy × width × budget × certify are
-      replayed without running a solver. With [cache_file] set the cache
-      keeps a write-ahead journal, so the answers survive a [kill -9]
-      and a restarted server replays them byte-identically.
+      replayed without running a solver. Each is stored as the text of
+      its [fpgasat.run/1] record, rendered once when the answer is made
+      and written into every later response as it is. With [cache_file]
+      set the cache keeps a write-ahead journal, so the answers survive a
+      [kill -9] and a restarted server replays them byte-identically.
     - {b Admission control} ({!Fpgasat_engine.Pool.Persistent}): a fixed
       worker-domain pool with a bounded queue. A request past capacity
       gets an [overloaded] response immediately; once drain begins, a
-      [shutting_down] response.
+      [shutting_down] response. Both apply to requests that need a
+      worker; a cache hit needs none.
 
     Crash-only design: the server assumes it will die rudely and makes
     restart the recovery path. A worker domain that dies mid-request is
@@ -27,8 +30,16 @@
     [deadline_exceeded] when queue wait has already consumed them.
 
     Concurrency model: one lightweight thread per connection parses and
-    frames; CPU-bound solving runs on the persistent domain pool. SIGTERM
-    (or the protocol [shutdown] op) triggers a graceful drain — in-flight
+    frames; CPU-bound solving runs on the persistent domain pool. A
+    [route] request on a session that already exists is screened on its
+    connection thread (quarantine, then a deadline already past on
+    arrival), and a cache hit is answered there without touching the
+    pool, so [overloaded] and shedding in the queue apply to misses only.
+    A [worker_kill] fault always goes to the pool. A request line longer
+    than {!max_request_line} bytes gets one [error] response and ends its
+    connection unread. SIGPIPE is ignored, so a client that hangs up
+    before its answer ends only its own connection. SIGTERM (or the
+    protocol [shutdown] op) triggers a graceful drain — in-flight
     requests finish, every connection thread and worker domain is joined,
     the journal is closed, the socket file is removed. *)
 
@@ -61,9 +72,13 @@ val default_config : socket_path:string -> config
 
 type t
 
+val max_request_line : int
+(** The longest request line read, newline excluded: 1 MiB. *)
+
 val start : config -> t
-(** Attaches the cache journal (when configured), binds the socket,
-    spawns the worker pool and the accept thread, returns immediately.
+(** Ignores SIGPIPE for the whole process, attaches the cache journal
+    (when configured), binds the socket, spawns the worker pool and the
+    accept thread, returns immediately.
 
     A pre-existing socket file is probed with a connect: one refused is
     the residue of a killed predecessor and is reclaimed; one accepted
@@ -100,9 +115,5 @@ val stats_json : t -> Fpgasat_obs.Json.t
 val replayed : t -> int
 (** Journal entries replayed into the cache at startup (0 without
     [cache_file]). *)
-
-val trace : t -> Fpgasat_obs.Trace.t
-(** Per-request solve spans ([Solve_begin]/[Solve_end]) recorded by the
-    serving layer. *)
 
 val socket_path : t -> string

@@ -13,7 +13,7 @@ type t = {
   upper : int;
   cnf_vars : int;
   cnf_clauses : int;
-  cnf_hash : int64;
+  key_prefix : string;  (* "cnf-structural-hash|strategy|" of [cache_key] *)
   prepare_seconds : float;
   mutex : Mutex.t;
   (* the fewest colours of any colouring this session has seen: the DSATUR
@@ -38,7 +38,10 @@ let create ~benchmark strategy (inst : F.Benchmarks.instance) =
     upper;
     cnf_vars;
     cnf_clauses;
-    cnf_hash = C.Incremental_width.cnf_hash ladder;
+    key_prefix =
+      Printf.sprintf "%Lx|%s|"
+        (C.Incremental_width.cnf_hash ladder)
+        (C.Strategy.name strategy);
     prepare_seconds = Unix.gettimeofday () -. t0;
     mutex = Mutex.create ();
     fewest = Atomic.make upper;
@@ -51,9 +54,15 @@ let bounds t = (t.lower, t.upper)
 let prepare_seconds t = t.prepare_seconds
 
 let cache_key t ~width ~budget_signature ~certify =
-  Printf.sprintf "%Lx|%s|%d|%s|%b" t.cnf_hash
-    (C.Strategy.name t.strategy)
-    width budget_signature certify
+  String.concat ""
+    [
+      t.key_prefix;
+      string_of_int width;
+      "|";
+      budget_signature;
+      "|";
+      string_of_bool certify;
+    ]
 
 (* Cumulative solver statistics, copied so a later query cannot mutate the
    snapshot under us. *)

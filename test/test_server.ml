@@ -539,6 +539,44 @@ let test_budget_signature_distinguishes () =
   Alcotest.(check int) "four distinct budget signatures" 4
     (List.length distinct)
 
+(* Run records from real runs: warm from the ladder and from the stored
+   colouring, certified with telemetry, and a cold certified refutation. *)
+let real_run_records =
+  lazy
+    (let strat = strategy "ITE-linear-2+muldirect/s1@siege" in
+     let session = Srv.Session.create ~benchmark:"alu2" strat alu2 in
+     let cold =
+       C.Flow.submit
+         C.Flow.(default_request |> with_strategy strat |> with_certify true)
+         (Srv.Session.route session) ~width:5
+     in
+     List.map
+       (fun run ->
+         Eng.Run_record.to_json
+           (Eng.Run_record.of_run ~benchmark:"alu2" ~wall_seconds:0.0123 run))
+       [
+         Srv.Session.route_warm session ~width:7;
+         Srv.Session.route_warm session ~width:5;
+         Srv.Session.route_warm ~certify:true ~telemetry:true session ~width:6;
+         cold;
+       ])
+
+let qcheck_route_ok_line =
+  let id_char =
+    QCheck2.Gen.(oneof [ char; oneofl [ '"'; '\\'; '\n'; '\t'; '\x00'; '\x1f' ] ])
+  in
+  QCheck2.Test.make ~count:300
+    ~name:"route_ok_line = J.to_string (response_to_json ...)"
+    QCheck2.Gen.(
+      triple
+        (opt (string_size ~gen:id_char (0 -- 24)))
+        (oneofl [ P.Cache; P.Warm; P.Cold ])
+        (0 -- 3))
+    (fun (id, served_by, i) ->
+      let run = List.nth (Lazy.force real_run_records) i in
+      P.route_ok_line ?id ~served_by (J.to_string run)
+      = J.to_string (P.response_to_json (P.response ?id ~served_by ~run P.Done)))
+
 (* ---------- Cnf.structural_hash ---------- *)
 
 let test_structural_hash_ignores_provenance () =
@@ -764,6 +802,12 @@ let call_ok socket req =
   | Ok resp -> resp
   | Error m -> Alcotest.fail m
 
+let server_pool_gauge server key =
+  match J.find (Srv.Server.stats_json server) "pool" with
+  | Some pool -> (
+      match J.find pool key with Some (J.Int n) -> n | _ -> -1)
+  | None -> -1
+
 let test_server_ping_and_stats () =
   with_server (fun _server socket ->
       let pong = call_ok socket (P.request ~id:"p1" P.Ping) in
@@ -803,6 +847,57 @@ let test_server_cache_hit_on_repeat () =
             | Some (J.Int n) -> n >= 1
             | _ -> false)
       | _ -> Alcotest.fail "stats_json not an object")
+
+(* A hit is answered by its connection thread: with the only worker busy
+   it is served at once and the pool's gauges do not move. Every route
+   request moves the cache's hits + misses by exactly one, whether its
+   lookup ran on a worker (no session yet) or on the connection thread. *)
+let test_server_hits_skip_the_pool () =
+  with_server ~workers:1 (fun server socket ->
+      let cache_stat key =
+        match J.find (Srv.Server.stats_json server) "cache" with
+        | Some cache -> (
+            match J.find cache key with Some (J.Int n) -> n | _ -> -1)
+        | None -> -1
+      in
+      let ask what req ~moves =
+        let hits0 = cache_stat "hits" and misses0 = cache_stat "misses" in
+        let resp = call_ok socket req in
+        Alcotest.(check string) (what ^ ": ok") "ok"
+          (P.status_name resp.P.status);
+        Alcotest.(check (pair int int))
+          (what ^ ": cache hits and misses moved")
+          moves
+          (cache_stat "hits" - hits0, cache_stat "misses" - misses0);
+        resp
+      in
+      let req =
+        P.request ~strategy:"direct@siege" ~benchmark:"alu2" ~width:5 P.Route
+      in
+      ignore (ask "first ask, no session" req ~moves:(0, 1));
+      ignore (ask "first ask, live session" { req with P.width = 6 } ~moves:(0, 1));
+      wait_until "pool idle"
+        (fun () -> server_pool_gauge server "running" = 0)
+        300;
+      let sleeper =
+        Thread.create
+          (fun () ->
+            ignore (Srv.Client.one_shot ~socket (P.request (P.Sleep 0.5))))
+          ()
+      in
+      wait_until "sleeper running"
+        (fun () -> server_pool_gauge server "running" = 1)
+        300;
+      let gauges () =
+        (server_pool_gauge server "queued", server_pool_gauge server "running")
+      in
+      let before = gauges () in
+      let hit = ask "repeat" req ~moves:(1, 0) in
+      Alcotest.(check (option string)) "repeat served from cache"
+        (Some "cache")
+        (Option.map P.served_by_name hit.P.served_by);
+      Alcotest.(check (pair int int)) "pool gauges unchanged" before (gauges ());
+      Thread.join sleeper)
 
 (* Certified routes on both sides of the session's colouring boundary.
    alu2 under the paper's best strategy has clique bound 5, w_min 6 and
@@ -1063,17 +1158,16 @@ let test_sleep_gated_behind_test_ops () =
 
 (* ---------- crash-safety: respawn, quarantine, deadlines ---------- *)
 
-let server_pool_gauge server key =
-  match J.find (Srv.Server.stats_json server) "pool" with
-  | Some pool -> (
-      match J.find pool key with Some (J.Int n) -> n | _ -> -1)
-  | None -> -1
-
 let test_server_worker_kill_respawn_and_quarantine () =
   with_server ~workers:2 (fun server socket ->
       let req =
         P.request ~strategy:"direct@siege" ~benchmark:"alu2" ~width:5 P.Route
       in
+      (* an answer cached at another width of the same CNF *)
+      let cached = { req with P.width = 6 } in
+      let first = call_ok socket cached in
+      Alcotest.(check string) "answer to cache" "ok"
+        (P.status_name first.P.status);
       let kill () =
         let resp = call_ok socket { req with P.fault = Some "worker_kill" } in
         Alcotest.(check string) "killed request errors, never hangs" "error"
@@ -1108,10 +1202,20 @@ let test_server_worker_kill_respawn_and_quarantine () =
       let resp = call_ok socket req in
       Alcotest.(check string) "quarantined request errors" "error"
         (P.status_name resp.P.status);
-      Alcotest.(check bool) "error says quarantined" true
-        (match resp.P.message with
+      let says_quarantined (resp : P.response) =
+        match resp.P.message with
         | Some m -> String.length m >= 11 && String.sub m 0 11 = "quarantined"
-        | None -> false);
+        | None -> false
+      in
+      Alcotest.(check bool) "error says quarantined" true
+        (says_quarantined resp);
+      (* quarantine is checked before the cache: the cached width is
+         refused too *)
+      let refused = call_ok socket cached in
+      Alcotest.(check string) "cached width refused" "error"
+        (P.status_name refused.P.status);
+      Alcotest.(check bool) "cached width quarantined" true
+        (says_quarantined refused);
       Alcotest.(check int) "no further death" 2
         (server_pool_gauge server "deaths");
       (* the supervisor invariant: pool restored to configured size *)
@@ -1130,10 +1234,12 @@ let test_server_worker_kill_respawn_and_quarantine () =
 let test_server_deadline_exceeded () =
   with_server ~workers:1 (fun server socket ->
       (* warm the session so the deadline request's queue wait is the only
-         variable under test *)
+         variable under test; the request under test asks a width the
+         warm-up did not, since a cache hit never queues *)
       let req =
         P.request ~strategy:"direct@siege" ~benchmark:"alu2" ~width:5 P.Route
       in
+      let uncached = { req with P.width = 6 } in
       let first = call_ok socket req in
       Alcotest.(check string) "warm-up ok" "ok" (P.status_name first.P.status);
       (* the warm-up stays in the running gauge until its worker loops
@@ -1153,7 +1259,15 @@ let test_server_deadline_exceeded () =
       wait_until "sleeper running"
         (fun () -> server_pool_gauge server "running" = 1)
         300;
-      let shed = call_ok socket { req with P.deadline_ms = Some 50 } in
+      let hit = call_ok socket { req with P.deadline_ms = Some 50 } in
+      Alcotest.(check string) "cache hit answered past the busy worker" "ok"
+        (P.status_name hit.P.status);
+      Alcotest.(check (option string)) "served from cache" (Some "cache")
+        (Option.map P.served_by_name hit.P.served_by);
+      let late = call_ok socket { req with P.deadline_ms = Some 0 } in
+      Alcotest.(check string) "hit past its deadline on arrival -> shed"
+        "deadline_exceeded" (P.status_name late.P.status);
+      let shed = call_ok socket { uncached with P.deadline_ms = Some 50 } in
       Alcotest.(check string) "expired in queue -> shed" "deadline_exceeded"
         (P.status_name shed.P.status);
       Thread.join sleeper;
@@ -1294,6 +1408,82 @@ let test_server_never_steals_live_socket () =
           Srv.Server.stop second;
           Alcotest.fail "server bound over a regular file")
 
+(* ---------- crash-safety: hostile clients ---------- *)
+
+let raw_connect socket =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  (* a server that never answers fails the test instead of hanging it *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+  fd
+
+let write_all fd s = ignore (Unix.write_substring fd s 0 (String.length s))
+
+let request_line req = J.to_string (P.request_to_json req) ^ "\n"
+
+let server_counter server key =
+  match J.find (Srv.Server.stats_json server) key with
+  | Some (J.Int n) -> n
+  | _ -> Alcotest.fail ("stats without " ^ key)
+
+(* A client that hangs up before its answer: the server's write to the
+   closed socket must end that connection only, not the process. *)
+let test_server_survives_hang_up () =
+  with_server ~workers:1 (fun server socket ->
+      let fd = raw_connect socket in
+      write_all fd (request_line (P.request ~benchmark:"alu2" P.Min_width));
+      Unix.close fd;
+      wait_until "min_width ran"
+        (fun () ->
+          server_counter server "warm" = 1
+          && server_pool_gauge server "running" = 0)
+        500;
+      (* the conn thread writes the answer once its ticket resolves *)
+      Thread.delay 0.2;
+      let pong = call_ok socket (P.request P.Ping) in
+      Alcotest.(check string) "server still answers" "ok"
+        (P.status_name pong.P.status);
+      Alcotest.(check int) "both requests counted" 2
+        (server_counter server "requests"))
+
+(* A line of exactly the cap is read and answered; one byte more gets one
+   error line and the connection closes without the server reading on. *)
+let test_server_request_line_cap () =
+  with_server (fun server socket ->
+      let cap = Srv.Server.max_request_line in
+      let fd = raw_connect socket in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let ic = Unix.in_channel_of_descr fd in
+          let reply () =
+            match P.parse_response (input_line ic) with
+            | Ok resp -> resp
+            | Error m -> Alcotest.fail m
+          in
+          let ping = request_line (P.request ~id:"at-cap" P.Ping) in
+          let ping = String.sub ping 0 (String.length ping - 1) in
+          write_all fd (ping ^ String.make (cap - String.length ping) ' ' ^ "\n");
+          let pong = reply () in
+          Alcotest.(check string) "line at the cap answered" "ok"
+            (P.status_name pong.P.status);
+          Alcotest.(check (option string)) "its id" (Some "at-cap")
+            pong.P.resp_id;
+          let errors0 = server_counter server "errors" in
+          write_all fd (String.make (cap + 1) 'x');
+          let refused = reply () in
+          Alcotest.(check string) "line over the cap refused" "error"
+            (P.status_name refused.P.status);
+          Alcotest.(check int) "counted as an error" (errors0 + 1)
+            (server_counter server "errors");
+          Alcotest.(check bool) "connection closed" true
+            (match input_line ic with
+            | _ -> false
+            | exception (End_of_file | Sys_error _) -> true));
+      let pong = call_ok socket (P.request P.Ping) in
+      Alcotest.(check string) "server still answers" "ok"
+        (P.status_name pong.P.status))
+
 (* ---------- crash-safety: client timeouts and retry ---------- *)
 
 let test_client_timeout_bounds_hung_server () =
@@ -1331,11 +1521,13 @@ let test_client_timeout_bounds_hung_server () =
 
 let test_client_retry_rides_out_overload () =
   with_server ~workers:1 ~queue_capacity:1 (fun server socket ->
-      (* warm the session so the retried request is served instantly once
-         admitted *)
+      (* warm the session so the retried request is served quickly once
+         admitted; the retried request asks a width the warm-up did not,
+         since a cache hit never queues *)
       let req =
         P.request ~strategy:"direct@siege" ~benchmark:"alu2" ~width:5 P.Route
       in
+      let uncached = { req with P.width = 6 } in
       let first = call_ok socket req in
       Alcotest.(check string) "warm-up ok" "ok" (P.status_name first.P.status);
       wait_until "warm-up drained"
@@ -1356,13 +1548,19 @@ let test_client_retry_rides_out_overload () =
       wait_until "sleeper queued"
         (fun () -> server_pool_gauge server "queued" = 1)
         300;
-      (* a plain call bounces; the retrying call rides the backlog out *)
-      let bounced = call_ok socket req in
+      (* a cache hit is answered at once; a plain call that needs a
+         worker bounces; the retrying call rides the backlog out *)
+      let hit = call_ok socket req in
+      Alcotest.(check string) "cache hit answered at a full queue" "ok"
+        (P.status_name hit.P.status);
+      Alcotest.(check (option string)) "served from cache" (Some "cache")
+        (Option.map P.served_by_name hit.P.served_by);
+      let bounced = call_ok socket uncached in
       Alcotest.(check string) "plain call overloaded" "overloaded"
         (P.status_name bounced.P.status);
       (match
          Srv.Client.call_with_retry ~retries:8 ~backoff:0.05 ~seed:42 ~socket
-           req
+           uncached
        with
       | Ok resp ->
           Alcotest.(check string) "retry eventually admitted" "ok"
@@ -1389,6 +1587,9 @@ let test_client_never_retries_non_idempotent () =
   Alcotest.(check bool) "no backoff schedule was slept" true (elapsed < 0.2)
 
 let qtests = List.map QCheck_alcotest.to_alcotest [ qcheck_structural_hash ]
+
+let protocol_qtests =
+  List.map QCheck_alcotest.to_alcotest [ qcheck_route_ok_line ]
 
 let cache_qtests =
   List.map QCheck_alcotest.to_alcotest [ qcheck_cache_concurrent ]
@@ -1444,7 +1645,8 @@ let () =
             test_protocol_rejects_malformed;
           Alcotest.test_case "budget signatures distinct" `Quick
             test_budget_signature_distinguishes;
-        ] );
+        ]
+        @ protocol_qtests );
       ("hash", Alcotest.test_case "structural hash vs provenance" `Quick
           test_structural_hash_ignores_provenance
         :: qtests );
@@ -1464,6 +1666,8 @@ let () =
           Alcotest.test_case "ping and stats" `Quick test_server_ping_and_stats;
           Alcotest.test_case "cache hit on repeat" `Slow
             test_server_cache_hit_on_repeat;
+          Alcotest.test_case "cache hits skip the pool" `Slow
+            test_server_hits_skip_the_pool;
           Alcotest.test_case "certified routes warm and cold" `Slow
             test_server_certified_warm_and_cold;
           Alcotest.test_case "concurrent clients" `Slow
@@ -1492,6 +1696,10 @@ let () =
             test_server_reclaims_stale_socket;
           Alcotest.test_case "live socket never stolen" `Quick
             test_server_never_steals_live_socket;
+          Alcotest.test_case "client hang-up ends only its connection" `Quick
+            test_server_survives_hang_up;
+          Alcotest.test_case "request line cap" `Quick
+            test_server_request_line_cap;
           Alcotest.test_case "client timeout bounds a hung server" `Quick
             test_client_timeout_bounds_hung_server;
           Alcotest.test_case "client retry rides out overload" `Slow
