@@ -1282,7 +1282,9 @@ let client_cmd =
   let certify_arg =
     Arg.(value & flag
          & info [ "certify" ]
-             ~doc:"Ask for an independently checked answer (cold path).")
+             ~doc:"Ask for an independently checked answer: a checked \
+                   model or routing, a checked clique, or a DRAT-checked \
+                   refutation.")
   in
   let telemetry_arg =
     Arg.(value & flag

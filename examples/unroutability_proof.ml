@@ -89,9 +89,12 @@ let () =
   | C.Flow.Memout, _ -> print_endline "memory budget exhausted"
   | C.Flow.Unroutable, None -> assert false);
 
-  (* the clique bound alone does not explain the refutation in general *)
-  let clique = G.Clique.lower_bound inst.F.Benchmarks.graph in
-  Printf.printf
-    "\n(greedy clique bound: %d — %s)\n" clique
-    (if clique >= w then "covers this width structurally"
-     else "the SAT proof goes beyond the clique bound")
+  (* a clique of w subnets that pairwise share a segment refutes w - 1 on
+     its own; a greedy clique can miss it, and not every refutation has a
+     clique behind it *)
+  let greedy = G.Clique.lower_bound inst.F.Benchmarks.graph in
+  let maximum = List.length (G.Clique.maximum inst.F.Benchmarks.graph) in
+  Printf.printf "\n(greedy clique: %d, maximum clique: %d — %s)\n" greedy
+    maximum
+    (if maximum >= w then "the maximum clique also refutes this width"
+     else "the SAT proof goes beyond any clique")

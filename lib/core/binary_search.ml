@@ -1,4 +1,3 @@
-module G = Fpgasat_graph
 module F = Fpgasat_fpga
 
 type search_result = {
@@ -9,9 +8,9 @@ type search_result = {
 }
 
 let minimal_width ?strategy ?budget route =
-  let graph = F.Conflict_graph.build route in
-  let lower = max 1 (G.Clique.lower_bound graph) in
-  let upper = max lower (G.Greedy.upper_bound graph) in
+  let { Width_bounds.lower; upper; _ } =
+    Width_bounds.of_graph (F.Conflict_graph.build route)
+  in
   let request =
     let r = Flow.default_request in
     let r =
@@ -50,7 +49,7 @@ let minimal_width ?strategy ?budget route =
       match search lower upper (Some top_routing) None with
       | Error _ as err -> err
       | Ok (w_min, Some routing, unsat_below) ->
-          (* when the search never refuted w_min - 1 (w_min = clique bound),
-             the optimality proof is structural, not a SAT run *)
+          (* when the search never refuted w_min - 1 (w_min = maximum
+             clique), the optimality proof is structural, not a SAT run *)
           Ok { w_min; routing; unsat_below; runs = List.rev !runs }
       | Ok (_, None, _) -> Error "internal error: no routing recorded")

@@ -66,7 +66,8 @@ let metered ~telemetry f =
 type answer =
   [ `Colorable of G.Coloring.t | `Uncolorable | `Timeout | `Memout ]
 
-type evidence = [ `Solved of Sat.Cnf.t * Sat.Solver.result | `Unsolved ]
+type evidence =
+  [ `Solved of Sat.Cnf.t * Sat.Solver.result | `Unsolved | `Clique of int array ]
 
 let finish ?certify ?proof ?words_allocated ~strategy
     ~cnf_size:(cnf_vars, cnf_clauses) ~timings ~stats route ~width
@@ -97,6 +98,8 @@ let finish ?certify ?proof ?words_allocated ~strategy
         match proof with
         | Some p -> Some (Result.is_ok (Sat.Drat_check.check cnf p))
         | None -> Some false)
+    | Some (`Clique subnets), `Uncolorable ->
+        Some (F.Detailed_route.clique_refutes route ~width subnets)
     | _ -> None
   in
   let telemetry =

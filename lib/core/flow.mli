@@ -47,7 +47,8 @@ type run = {
   certified : bool option;
       (** [None] when certification was not requested or the outcome is
           {!Timeout}; [Some true] when the answer carried a checked
-          certificate — an UNSAT proof accepted by {!Fpgasat_sat.Drat_check}
+          certificate — an UNSAT proof accepted by {!Fpgasat_sat.Drat_check},
+          a clique accepted by {!Fpgasat_fpga.Detailed_route.clique_refutes},
           or a model accepted by {!Fpgasat_sat.Solver.check_model} plus
           {!Fpgasat_fpga.Detailed_route.verify}. *)
   telemetry : Fpgasat_obs.Telemetry.t option;
@@ -64,7 +65,7 @@ exception Decode_mismatch of string
     The second half of the flow, shared by every way of reaching an answer:
     the cold pipeline ({!submit}), the warm
     incremental ladder ({!Incremental_width.query}) and the solve server's
-    sessions, including their solver-free greedy answers. *)
+    sessions, including their solver-free clique and greedy answers. *)
 
 val decode :
   Fpgasat_encodings.Csp_encode.t ->
@@ -83,15 +84,22 @@ type answer =
   [ `Colorable of Fpgasat_graph.Coloring.t | `Uncolorable | `Timeout | `Memout ]
 (** A width query's verdict, before it becomes a {!run}. *)
 
-type evidence = [ `Solved of Fpgasat_sat.Cnf.t * Fpgasat_sat.Solver.result | `Unsolved ]
+type evidence =
+  [ `Solved of Fpgasat_sat.Cnf.t * Fpgasat_sat.Solver.result
+  | `Unsolved
+  | `Clique of int array ]
 (** What {!finish} certifies an answer against. [`Solved (cnf, result)] is
     the CNF the answer was solved on and the solver's result: a colouring
     is certified by {!Fpgasat_sat.Solver.check_model} of the model against
     [cnf] plus {!Fpgasat_fpga.Detailed_route.verify}, and an [`Uncolorable]
     answer by checking the proof against [cnf] with
-    {!Fpgasat_sat.Drat_check}. [`Unsolved] is a colouring found without a
-    solver, such as a session's stored DSATUR colouring: no model exists,
-    so {!Fpgasat_fpga.Detailed_route.verify} alone certifies it. *)
+    {!Fpgasat_sat.Drat_check}. The other two are answers found without a
+    solver. [`Unsolved] is a colouring, such as a session's stored DSATUR
+    colouring: no model exists, so {!Fpgasat_fpga.Detailed_route.verify}
+    alone certifies it. Its dual [`Clique subnets] certifies an
+    [`Uncolorable] answer by
+    {!Fpgasat_fpga.Detailed_route.clique_refutes}: more than [width]
+    subnets that pairwise need different tracks. *)
 
 val finish :
   ?certify:evidence ->
@@ -108,9 +116,10 @@ val finish :
 (** Turns an answer into a {!run}: a colouring becomes a detailed routing
     of the global route (raising {!Decode_mismatch} when the architecture
     rejects it). When [certify] is given, the answer is certified against
-    it as {!evidence} describes; an [`Uncolorable] answer without a
-    [proof] gets [Some false]. [words_allocated] is given exactly when
-    telemetry was asked for; the telemetry then rates [stats] over
+    it as {!evidence} describes; an [`Uncolorable] answer with [`Solved]
+    evidence but no [proof] gets [Some false], and evidence of the wrong
+    kind for the answer gets [None]. [words_allocated] is given exactly
+    when telemetry was asked for; the telemetry then rates [stats] over
     [timings.solving]. [cnf_size] is the [(vars, clauses)] of the encoded
     problem. *)
 

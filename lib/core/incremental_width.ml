@@ -7,8 +7,7 @@ type ladder = {
   encoded : E.Csp_encode.t;
   solver : Sat.Solver.solver;
   selectors : Sat.Lit.var array;
-  lower : int;
-  upper : int;
+  bounds : Width_bounds.t;
   cnf_hash : int64;
   mutable queries : int;
 }
@@ -39,8 +38,8 @@ let augment encoded ~upper =
   (cnf, selectors)
 
 let prepare ?(strategy = Strategy.best_single) graph =
-  let lower = max 1 (G.Clique.lower_bound graph) in
-  let upper = max lower (G.Greedy.upper_bound graph) in
+  let bounds = Width_bounds.of_graph graph in
+  let upper = bounds.Width_bounds.upper in
   let csp = E.Csp.make graph ~k:upper in
   let encoded =
     E.Csp_encode.encode ?symmetry:strategy.Strategy.symmetry
@@ -53,13 +52,12 @@ let prepare ?(strategy = Strategy.best_single) graph =
     encoded;
     solver;
     selectors;
-    lower;
-    upper;
+    bounds;
     cnf_hash = Sat.Cnf.structural_hash encoded.E.Csp_encode.cnf;
     queries = 0;
   }
 
-let bounds ladder = (ladder.lower, ladder.upper)
+let bounds ladder = ladder.bounds
 let queries ladder = ladder.queries
 let stats ladder = Sat.Solver.solver_stats ladder.solver
 let cnf_hash ladder = ladder.cnf_hash
@@ -70,16 +68,18 @@ let cnf_size ladder =
 
 (* rebuilt rather than kept: certified warm answers are rare, and a kept
    copy would grow every session's resident set for all its life *)
-let cnf ladder = fst (augment ladder.encoded ~upper:ladder.upper)
+let cnf ladder =
+  fst (augment ladder.encoded ~upper:ladder.bounds.Width_bounds.upper)
 
 let query ?(budget = Sat.Solver.no_budget) ladder ~width =
   if width < 1 then invalid_arg "Incremental_width.query: width < 1";
   (* the formula is sized at the DSATUR upper bound; any larger width is
      equivalent (a colouring within [upper] colours fits it a fortiori) *)
-  let w = min width ladder.upper in
+  let upper = ladder.bounds.Width_bounds.upper in
+  let w = min width upper in
   ladder.queries <- ladder.queries + 1;
   let assumptions =
-    List.init (ladder.upper - w) (fun i ->
+    List.init (upper - w) (fun i ->
         Sat.Lit.pos ladder.selectors.(w + i))
   in
   match Sat.Solver.solve_with ~budget ~assumptions ladder.solver with
@@ -99,7 +99,7 @@ let walk_down ?(budget = Sat.Solver.no_budget) ladder =
       | Some coloring -> Ok (w + 1, coloring)
       | None -> Error "DSATUR width came out uncolourable"
     in
-    if w < ladder.lower then settled ()
+    if w < ladder.bounds.Width_bounds.lower then settled ()
     else
       match fst (query ~budget ladder ~width:w) with
       | `Uncolorable -> settled ()
@@ -109,7 +109,7 @@ let walk_down ?(budget = Sat.Solver.no_budget) ladder =
           let used = G.Coloring.num_colors coloring in
           walk (min (w - 1) (used - 1)) (Some coloring)
   in
-  walk ladder.upper None
+  walk ladder.bounds.Width_bounds.upper None
 
 type search_result = {
   w_min : int;

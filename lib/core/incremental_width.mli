@@ -26,8 +26,9 @@ type ladder
     one mutex per session). *)
 
 val prepare : ?strategy:Strategy.t -> Fpgasat_graph.Graph.t -> ladder
-(** Encodes the graph once at the DSATUR upper bound (cold cost); every
-    subsequent {!query} is an assumption-only call on the shared solver. *)
+(** Computes the graph's {!Width_bounds} and encodes it once at their
+    DSATUR upper bound (cold cost); every subsequent {!query} is an
+    assumption-only call on the shared solver. *)
 
 val query :
   ?budget:Fpgasat_sat.Solver.budget ->
@@ -45,9 +46,9 @@ val query :
     Raises [Invalid_argument] when [width < 1] and {!Flow.Decode_mismatch}
     if a model fails to decode into a proper colouring. *)
 
-val bounds : ladder -> int * int
-(** [(lower, upper)]: the clique lower bound and DSATUR upper bound the
-    ladder was built with. *)
+val bounds : ladder -> Width_bounds.t
+(** The bracket the ladder was built with: its maximum clique, its DSATUR
+    colouring and their sizes. *)
 
 val queries : ladder -> int
 (** Queries answered so far. *)
@@ -79,8 +80,9 @@ val walk_down :
 (** The minimal-width walk both {!minimal_colors} and the solve server's
     warm [min_width] run: query the ladder from its upper bound downward,
     skipping to just below the colours each model actually used, until a
-    width is uncolourable or the clique lower bound is passed. Returns the
-    minimal width with a proper colouring in that many colours. The budget
+    width is uncolourable or the next width would be below the maximum
+    clique, which refutes it without a query. Returns the minimal width
+    with a proper colouring in that many colours. The budget
     applies per query; raises {!Flow.Decode_mismatch} as {!query} does. *)
 
 type search_result = {

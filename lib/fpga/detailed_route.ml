@@ -32,6 +32,28 @@ let verify (gr : Global_route.t) ~width tracks =
     Ok ()
   with Bad v -> Error v
 
+(* Subnets of different nets that share a segment need different tracks,
+   so a set of them that pairwise do needs a track each. *)
+let clique_refutes (gr : Global_route.t) ~width subnets =
+  let netlist = gr.Global_route.netlist in
+  let count = Array.length gr.Global_route.paths in
+  let k = Array.length subnets in
+  k > max 0 width
+  && Array.for_all (fun id -> id >= 0 && id < count) subnets
+  &&
+  let parent id = netlist.Netlist.subnets.(id).Netlist.parent in
+  let segments = Array.map (Global_route.segments_used gr) subnets in
+  let conflict i j =
+    parent subnets.(i) <> parent subnets.(j)
+    && List.exists (fun s -> List.mem s segments.(j)) segments.(i)
+  in
+  let rec pairwise i j =
+    if i >= k then true
+    else if j >= k then pairwise (i + 1) (i + 2)
+    else conflict i j && pairwise i (j + 1)
+  in
+  pairwise 0 1
+
 let of_coloring gr ~width coloring =
   match verify gr ~width coloring with
   | Ok () -> Ok { route = gr; width; tracks = Array.copy coloring }

@@ -22,6 +22,14 @@ val of_coloring :
 val verify : Global_route.t -> width:int -> int array -> (unit, violation) result
 (** The underlying checker, usable on any raw track assignment. *)
 
+val clique_refutes : Global_route.t -> width:int -> int array -> bool
+(** [clique_refutes gr ~width subnets] checks a certificate that [gr] has
+    no detailed routing with [width] tracks: more than [width] subnets
+    (and at least one), pairwise of different nets and pairwise sharing a
+    channel segment, so each needs a track of its own. A repeated or
+    out-of-range subnet id fails the check. Returns on any array and
+    never raises. *)
+
 val track : t -> int -> int
 val pp_violation : Format.formatter -> violation -> unit
 

@@ -66,10 +66,13 @@ type request = {
           Not part of the cache key (it only shrinks the budget; a
           decisive answer is decisive whatever deadline it beat). *)
   certify : bool;
-      (** Independently check the answer. Certified requests bypass the
-          warm session (a per-query UNSAT under selector assumptions is
-          not a standalone DRAT refutation) and take the cold
-          {!Fpgasat_core.Flow.submit} path. *)
+      (** Independently check the answer. The warm session certifies
+          widths below its maximum clique (the clique, checked against the
+          global route) and from the fewest colours it has seen up (a
+          checked model or colouring). A certified width in the gap
+          between them takes the cold {!Fpgasat_core.Flow.submit} path,
+          since a per-query UNSAT under selector assumptions is not a
+          standalone DRAT refutation. *)
   telemetry : bool;
   fault : string option;
       (** Chaos injection ({!Fpgasat_engine.Chaos.Server.fault_name}
@@ -111,7 +114,9 @@ val parse_request : string -> (request, string) result
 
 type served_by =
   | Cache  (** Answered from the LRU answer cache; no solver ran. *)
-  | Warm  (** Answered by a warm session's incremental ladder. *)
+  | Warm
+      (** Answered by a warm session: by its incremental ladder, or
+          without a solver from its stored clique or greedy colouring. *)
   | Cold  (** Full {!Fpgasat_core.Flow.submit} pipeline. *)
 
 val served_by_name : served_by -> string

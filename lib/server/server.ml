@@ -296,12 +296,16 @@ let run_route server (req : P.request) strategy ?known ~arrival ~suspect
       | None ->
           let budget = effective_budget server req ~arrival in
           let run, served_by =
-            if req.P.certify && req.P.width < Session.fewest_colors session
+            let lower, _ = Session.bounds session in
+            if
+              req.P.certify && lower <= req.P.width
+              && req.P.width < Session.fewest_colors session
             then begin
-              (* no colouring this narrow is known, so the answer may be
-                 unroutable, and a warm refutation holds only under
-                 selector assumptions: a standalone one needs the cold
-                 pipeline. At or above the session's fewest colours the
+              (* in the gap between the clique and the session's fewest
+                 colours the answer may be unroutable, and a warm
+                 refutation holds only under selector assumptions: a
+                 standalone one needs the cold pipeline. Below the gap the
+                 stored clique certifies the refutation warm; above it the
                  answer is routable and certifies warm. *)
               Atomic.incr server.counters.cold;
               let request =

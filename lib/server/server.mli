@@ -5,7 +5,11 @@
 
     - {b Warm sessions} ({!Session}): one incremental ladder per
       benchmark × strategy, encoded on first use and reused by every
-      later width query.
+      later width query. Widths below the session's maximum clique and
+      from its DSATUR bound up are answered without a solver. A
+      certified request goes to the cold {!Fpgasat_core.Flow.submit}
+      pipeline only in the gap between the clique and the fewest colours
+      the session has seen.
     - {b Answer cache} ({!Answer_cache}): decisive answers keyed by
       CNF structural hash × strategy × width × budget × certify are
       replayed without running a solver. Each is stored as the text of

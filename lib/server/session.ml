@@ -8,9 +8,6 @@ type t = {
   strategy : C.Strategy.t;
   route : F.Global_route.t;
   ladder : C.Incremental_width.ladder;
-  greedy : G.Coloring.t;
-  lower : int;
-  upper : int;
   cnf_vars : int;
   cnf_clauses : int;
   key_prefix : string;  (* "cnf-structural-hash|strategy|" of [cache_key] *)
@@ -26,16 +23,12 @@ type t = {
 let create ~benchmark strategy (inst : F.Benchmarks.instance) =
   let t0 = Unix.gettimeofday () in
   let ladder = C.Incremental_width.prepare ~strategy inst.F.Benchmarks.graph in
-  let lower, upper = C.Incremental_width.bounds ladder in
   let cnf_vars, cnf_clauses = C.Incremental_width.cnf_size ladder in
   {
     benchmark;
     strategy;
     route = inst.F.Benchmarks.route;
     ladder;
-    greedy = G.Greedy.dsatur inst.F.Benchmarks.graph;
-    lower;
-    upper;
     cnf_vars;
     cnf_clauses;
     key_prefix =
@@ -44,13 +37,16 @@ let create ~benchmark strategy (inst : F.Benchmarks.instance) =
         (C.Strategy.name strategy);
     prepare_seconds = Unix.gettimeofday () -. t0;
     mutex = Mutex.create ();
-    fewest = Atomic.make upper;
+    fewest =
+      Atomic.make (C.Incremental_width.bounds ladder).C.Width_bounds.upper;
   }
 
 let benchmark t = t.benchmark
 let strategy t = t.strategy
 let route t = t.route
-let bounds t = (t.lower, t.upper)
+let bounds t =
+  let b = C.Incremental_width.bounds t.ladder in
+  C.Width_bounds.(b.lower, b.upper)
 let prepare_seconds t = t.prepare_seconds
 
 let cache_key t ~width ~budget_signature ~certify =
@@ -100,24 +96,31 @@ let saw_colors t n = Atomic.set t.fewest (min (Atomic.get t.fewest) n)
 
 let route_warm ?(budget = Sat.Solver.no_budget) ?(telemetry = false)
     ?(certify = false) t ~width =
-  locked t (fun () ->
-      (* graph and CNF translation are amortised over the session: this
-         query paid neither *)
-      let finish ~solving ~stats ?words_allocated evidence answer =
-        C.Flow.finish
-          ?certify:(if certify then Some (Lazy.force evidence) else None)
-          ?words_allocated ~strategy:t.strategy
-          ~cnf_size:(t.cnf_vars, t.cnf_clauses)
-          ~timings:{ C.Flow.to_graph = 0.; to_cnf = 0.; solving }
-          ~stats t.route ~width answer
-      in
-      if width >= t.upper then
-        (* the DSATUR colouring already fits: answer without touching the
-           solver *)
-        finish ~solving:0. ~stats:(Sat.Stats.create ())
-          ?words_allocated:(if telemetry then Some 0 else None)
-          (lazy `Unsolved) (`Colorable t.greedy)
-      else begin
+  if width < 1 then invalid_arg "Session.route_warm: width < 1";
+  (* graph and CNF translation are amortised over the session: this query
+     paid neither *)
+  let finish ~solving ~stats ?words_allocated evidence answer =
+    C.Flow.finish
+      ?certify:(if certify then Some (Lazy.force evidence) else None)
+      ?words_allocated ~strategy:t.strategy
+      ~cnf_size:(t.cnf_vars, t.cnf_clauses)
+      ~timings:{ C.Flow.to_graph = 0.; to_cnf = 0.; solving }
+      ~stats t.route ~width answer
+  in
+  (* below the clique or from the DSATUR bound up the stored bounds answer
+     without the solver, so without its lock *)
+  let stored evidence answer =
+    finish ~solving:0. ~stats:(Sat.Stats.create ())
+      ?words_allocated:(if telemetry then Some 0 else None)
+      evidence answer
+  in
+  let { C.Width_bounds.clique; coloring; lower; upper } =
+    C.Incremental_width.bounds t.ladder
+  in
+  if width < lower then stored (lazy (`Clique clique)) `Uncolorable
+  else if width >= upper then stored (lazy `Unsolved) (`Colorable coloring)
+  else
+    locked t (fun () ->
         let before = snapshot (C.Incremental_width.stats t.ladder) in
         let ((answer, result), solving), words_allocated =
           C.Flow.metered ~telemetry (fun () ->
@@ -131,8 +134,7 @@ let route_warm ?(budget = Sat.Solver.no_budget) ?(telemetry = false)
         let stats = diff before (snapshot (C.Incremental_width.stats t.ladder)) in
         finish ~solving ~stats ?words_allocated
           (lazy (`Solved (C.Incremental_width.cnf t.ladder, result)))
-          answer
-      end)
+          answer)
 
 let min_width ?(budget = Sat.Solver.no_budget) t =
   locked t (fun () ->

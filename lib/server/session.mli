@@ -8,9 +8,9 @@
     server beat cold [fpgasat route] invocations.
 
     A session serialises its own solver access with an internal mutex, so
-    any number of server workers may hold the same session; queries on one
-    session run one at a time (queries on different sessions run in
-    parallel). *)
+    any number of server workers may hold the same session; ladder queries
+    on one session run one at a time (queries on different sessions run in
+    parallel, and answers from the stored bounds take no lock). *)
 
 type t
 
@@ -19,17 +19,21 @@ val create :
   Fpgasat_core.Strategy.t ->
   Fpgasat_fpga.Benchmarks.instance ->
   t
-(** The cold part: builds the ladder (encode at the DSATUR upper bound)
-    and the greedy colouring used to answer [width ≥ upper] instantly. *)
+(** The cold part: builds the ladder (encode at the DSATUR upper bound),
+    whose {!Fpgasat_core.Width_bounds} supply the maximum clique that
+    answers [width < lower] and the greedy colouring that answers
+    [width ≥ upper], both instantly. *)
 
 val benchmark : t -> string
 val strategy : t -> Fpgasat_core.Strategy.t
 val route : t -> Fpgasat_fpga.Global_route.t
-(** For the cold path of a certified request below {!fewest_colors}, which
-    bypasses the ladder. *)
+(** For the cold path of a certified request in the gap, at or above the
+    clique bound and below {!fewest_colors}, which bypasses the ladder. *)
 
 val bounds : t -> int * int
-(** Clique lower bound and DSATUR upper bound. *)
+(** [(lower, upper)]: the size of a maximum clique (at least 1) and the
+    DSATUR upper bound. Every width below [lower] is unroutable, and every
+    width from [upper] up routable. *)
 
 val prepare_seconds : t -> float
 (** Wall cost of {!create} — the amortised cold cost warm queries skip. *)
@@ -46,7 +50,8 @@ val fewest_colors : t -> int
     at the DSATUR upper bound and is lowered by every {!min_width} result
     and every routable {!route_warm} answer; it never rises. A width at or
     above it is routable, so a certified request there can be served by
-    {!route_warm}; below it, only a cold solve can supply a standalone
+    {!route_warm}, and so can one below the clique bound, which the clique
+    refutes. Between the two, only a cold solve can supply a standalone
     refutation. *)
 
 val route_warm :
@@ -62,17 +67,23 @@ val route_warm :
     {e delta} (cumulative counters snapshotted around the call);
     [timings.to_graph] and [timings.to_cnf] are 0 — the session already
     paid them — and telemetry, when asked for, covers the query alone.
-    Widths at or above the DSATUR upper bound are answered from the stored
-    greedy colouring without touching the solver.
+    Two bands are answered from the stored bounds without touching the
+    solver or waiting for its lock, with zero solver statistics and zero
+    timings: widths below the clique bound are unroutable, and widths at
+    or above the DSATUR upper bound are routed by the stored greedy
+    colouring.
 
     With [certify] (default [false]) a routable answer is certified by the
     same checks a cold one gets: {!Fpgasat_sat.Solver.check_model} of the
     ladder's model against its selector-augmented CNF plus
     {!Fpgasat_fpga.Detailed_route.verify}, or [verify] alone for the
-    stored colouring, which has no model. A warm unroutable answer holds
-    only under selector assumptions, so it is never certified
-    ([certified = Some false]); callers send certified widths below
-    {!fewest_colors} to the cold pipeline instead. Raises
+    stored colouring, which has no model. An answer below the clique bound
+    is certified by its clique, checked against the global route by
+    {!Fpgasat_fpga.Detailed_route.clique_refutes}. A ladder's unroutable
+    answer holds only under selector assumptions, so it is never certified
+    ([certified = Some false]); callers send certified widths in the gap,
+    from the clique bound to below {!fewest_colors}, to the cold pipeline
+    instead. Raises [Invalid_argument] when [width < 1], and
     {!Fpgasat_core.Flow.Decode_mismatch} on a decode failure (isolated by
     the server's worker pool). *)
 
@@ -80,5 +91,6 @@ val min_width :
   ?budget:Fpgasat_sat.Solver.budget -> t -> (int, string) result
 (** Minimal width by {!Fpgasat_core.Incremental_width.walk_down} on the
     warm ladder — the walk {!Fpgasat_core.Incremental_width.minimal_colors}
-    runs, without re-encoding — lowering {!fewest_colors} to the result.
-    The budget applies per query. *)
+    runs, without re-encoding, and without a query below the clique bound
+    — lowering {!fewest_colors} to the result. The budget applies per
+    query. *)

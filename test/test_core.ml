@@ -139,10 +139,10 @@ let test_flow_rejects_bad_width () =
    without a solver is certified by the routing check alone; a refutation
    without a proof is refused; no evidence means no certification. *)
 let test_flow_finish_evidence () =
-  let finish ?certify answer =
+  let finish ?certify ?(width = small_ub) answer =
     Flow.finish ?certify ~strategy:Strategy.best_single ~cnf_size:(0, 0)
       ~timings:{ Flow.to_graph = 0.; to_cnf = 0.; solving = 0. }
-      ~stats:(Sat.Stats.create ()) small_route ~width:small_ub answer
+      ~stats:(Sat.Stats.create ()) small_route ~width answer
   in
   let greedy = `Colorable (G.Greedy.dsatur small_graph) in
   Alcotest.(check (option bool)) "unsolved colouring: verify alone"
@@ -160,7 +160,17 @@ let test_flow_finish_evidence () =
       .Flow.certified;
   Alcotest.(check (option bool)) "a model that satisfies the CNF" (Some true)
     (finish ~certify:(`Solved (cnf, Sat.Solver.Sat [| true |])) greedy)
-      .Flow.certified
+      .Flow.certified;
+  let clique = Array.of_list (G.Clique.maximum small_graph) in
+  let omega = Array.length clique in
+  Alcotest.(check (option bool)) "a clique refutes the width below it"
+    (Some true)
+    (finish ~certify:(`Clique clique) ~width:(omega - 1) `Uncolorable)
+      .Flow.certified;
+  Alcotest.(check (option bool)) "but not its own size" (Some false)
+    (finish ~certify:(`Clique clique) ~width:omega `Uncolorable).Flow.certified;
+  Alcotest.(check (option bool)) "a clique says nothing of a colouring" None
+    (finish ~certify:(`Clique clique) greedy).Flow.certified
 
 (* --- binary search --- *)
 

@@ -322,6 +322,92 @@ let test_detailed_route_track_range () =
   | Error (F.Detailed_route.Segment_conflict _) | Ok () ->
       Alcotest.fail "out-of-range track accepted"
 
+(* --- clique refutations --- *)
+
+let test_clique_refutes_benchmarks () =
+  List.iter
+    (fun spec ->
+      let inst = F.Benchmarks.build spec in
+      let gr = inst.F.Benchmarks.route in
+      let clique = Array.of_list (G.Clique.maximum inst.F.Benchmarks.graph) in
+      let omega = Array.length clique in
+      for width = 0 to omega - 1 do
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: clique refutes W=%d" spec.F.Benchmarks.name width)
+          true
+          (F.Detailed_route.clique_refutes gr ~width clique)
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: not W=%d" spec.F.Benchmarks.name omega)
+        false
+        (F.Detailed_route.clique_refutes gr ~width:omega clique))
+    F.Benchmarks.specs
+
+let alu2 = F.Benchmarks.build (Option.get (F.Benchmarks.find "alu2"))
+
+let test_clique_refutes_rejects () =
+  let gr = alu2.F.Benchmarks.route in
+  let refutes ~width subnets =
+    F.Detailed_route.clique_refutes gr ~width subnets
+  in
+  let n = Netlist.num_subnets gr.F.Global_route.netlist in
+  let parent i = gr.F.Global_route.netlist.Netlist.subnets.(i).Netlist.parent in
+  let share a b =
+    let sb = F.Global_route.segments_used gr b in
+    List.exists (fun s -> List.mem s sb) (F.Global_route.segments_used gr a)
+  in
+  (* the first pair of subnets with property [p] *)
+  let find_pair what p =
+    let rec go a b =
+      if a >= n then Alcotest.fail ("alu2 has no " ^ what)
+      else if b >= n then go (a + 1) (a + 2)
+      else if p a b then [| a; b |]
+      else go a (b + 1)
+    in
+    go 0 1
+  in
+  let conflicting =
+    find_pair "conflicting pair" (fun a b -> parent a <> parent b && share a b)
+  in
+  Alcotest.(check bool) "a conflicting pair refutes one track" true
+    (refutes ~width:1 conflicting);
+  Alcotest.(check bool) "but not two" false (refutes ~width:2 conflicting);
+  Alcotest.(check bool) "same net, shared segment" false
+    (refutes ~width:1
+       (find_pair "same-net pair sharing a segment" (fun a b ->
+            parent a = parent b && share a b)));
+  Alcotest.(check bool) "different nets, no shared segment" false
+    (refutes ~width:1
+       (find_pair "disjoint pair" (fun a b ->
+            parent a <> parent b && not (share a b))));
+  let clique = Array.of_list (G.Clique.maximum alu2.F.Benchmarks.graph) in
+  let omega = Array.length clique in
+  Alcotest.(check bool) "the clique itself" true
+    (refutes ~width:(omega - 1) clique);
+  Alcotest.(check bool) "a repeated id" false
+    (refutes ~width:omega (Array.append clique [| clique.(0) |]));
+  List.iter
+    (fun bad ->
+      let subnets = Array.copy clique in
+      subnets.(0) <- bad;
+      Alcotest.(check bool) (Printf.sprintf "out-of-range id %d" bad) false
+        (refutes ~width:(omega - 1) subnets))
+    [ -1; n; max_int; min_int ];
+  Alcotest.(check bool) "the empty set" false (refutes ~width:(-1) [||])
+
+let prop_clique_refutes_never_raises =
+  let n = Netlist.num_subnets alu2.F.Benchmarks.route.F.Global_route.netlist in
+  QCheck2.Test.make ~count:500 ~name:"clique_refutes returns on any int array"
+    QCheck2.Gen.(
+      pair (int_range (-3) 12)
+        (array_size (int_range 0 12)
+           (oneof [ int_range (-2) (n + 2); int; return 0 ])))
+    (fun (width, subnets) ->
+      ignore
+        (F.Detailed_route.clique_refutes alu2.F.Benchmarks.route ~width
+           subnets);
+      true)
+
 (* --- serialisation --- *)
 
 let test_netlist_serialisation_roundtrip () =
@@ -574,7 +660,12 @@ let () =
         [
           Alcotest.test_case "verify" `Quick test_detailed_route_verify;
           Alcotest.test_case "track range" `Quick test_detailed_route_track_range;
-        ] );
+          Alcotest.test_case "benchmark cliques refute" `Quick
+            test_clique_refutes_benchmarks;
+          Alcotest.test_case "clique check rejects" `Quick
+            test_clique_refutes_rejects;
+        ]
+        @ qtests [ prop_clique_refutes_never_raises ] );
       ( "properties",
         qtests
           [

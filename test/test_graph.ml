@@ -320,6 +320,78 @@ let prop_chromatic_between_bounds =
           G.Clique.lower_bound g <= chi && chi <= G.Greedy.upper_bound g
       | G.Exact_coloring.Bounds _ -> false)
 
+(* --- maximum clique --- *)
+
+let is_clique g vs =
+  List.for_all
+    (fun u -> List.for_all (fun v -> u = v || Graph.mem_edge g u v) vs)
+    vs
+
+let brute_clique_number g =
+  let n = Graph.num_vertices g in
+  let best = ref 0 in
+  for mask = 0 to (1 lsl n) - 1 do
+    let vs =
+      List.filter (fun v -> mask land (1 lsl v) <> 0) (List.init n Fun.id)
+    in
+    if List.length vs > !best && is_clique g vs then best := List.length vs
+  done;
+  !best
+
+let test_maximum_clique () =
+  Alcotest.(check (list int)) "triangle" [ 0; 1; 2 ] (G.Clique.maximum triangle);
+  Alcotest.(check int) "petersen" 2 (List.length (G.Clique.maximum petersen));
+  Alcotest.(check (list int)) "empty graph" []
+    (G.Clique.maximum (Graph.create 0));
+  Alcotest.(check (list int)) "one vertex" [ 0 ]
+    (G.Clique.maximum (Graph.create 1));
+  (* a star's centre has the highest degree, so the greedy clique grows
+     from it and stops at 2; the maximum is the K4 beside it *)
+  let star_and_k4 =
+    Graph.of_edges 10
+      ([ (0, 1); (0, 2); (0, 3); (0, 4); (0, 5) ]
+      @ [ (6, 7); (6, 8); (6, 9); (7, 8); (7, 9); (8, 9) ])
+  in
+  Alcotest.(check int) "greedy clique" 2 (G.Clique.lower_bound star_and_k4);
+  Alcotest.(check (list int)) "maximum clique" [ 6; 7; 8; 9 ]
+    (G.Clique.maximum star_and_k4)
+
+let gen_graph ~max_n =
+  QCheck2.Gen.(
+    let* n = int_range 1 max_n in
+    let* m = int_range 0 (n * n) in
+    let* edges =
+      list_repeat m (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
+    in
+    return (n, List.filter (fun (u, v) -> u <> v) edges))
+
+let prop_maximum_is_clique =
+  QCheck2.Test.make ~count:300
+    ~name:"maximum clique: distinct, pairwise adjacent, never below greedy"
+    (gen_graph ~max_n:40)
+    (fun (n, edges) ->
+      let g = Graph.of_edges n edges in
+      let clique = G.Clique.maximum g in
+      List.sort_uniq compare clique = clique
+      && is_clique g clique
+      && List.length clique >= G.Clique.lower_bound g)
+
+let prop_maximum_matches_brute_force =
+  QCheck2.Test.make ~count:300 ~name:"maximum clique = brute-force clique number"
+    (gen_graph ~max_n:12)
+    (fun (n, edges) ->
+      let g = Graph.of_edges n edges in
+      List.length (G.Clique.maximum g) = brute_clique_number g)
+
+let prop_maximum_le_chromatic =
+  QCheck2.Test.make ~count:200 ~name:"maximum clique <= chromatic number"
+    (gen_graph ~max_n:10)
+    (fun (n, edges) ->
+      let g = Graph.of_edges n edges in
+      match G.Exact_coloring.chromatic_number g with
+      | G.Exact_coloring.Exact chi -> List.length (G.Clique.maximum g) <= chi
+      | G.Exact_coloring.Bounds _ -> false)
+
 (* --- DOT export --- *)
 
 let test_dot_output () =
@@ -356,6 +428,13 @@ let () =
         :: Alcotest.test_case "clique bounds" `Quick test_clique_bounds
         :: qtests [ prop_clique_le_dsatur; prop_clique_is_clique; prop_dsatur_proper ]
       );
+      ( "maximum-clique",
+        Alcotest.test_case "small graphs" `Quick test_maximum_clique
+        :: qtests
+             [
+               prop_maximum_is_clique; prop_maximum_matches_brute_force;
+               prop_maximum_le_chromatic;
+             ] );
       ( "dimacs-col",
         Alcotest.test_case "roundtrip" `Quick test_col_roundtrip
         :: Alcotest.test_case "errors" `Quick test_col_errors

@@ -256,10 +256,10 @@ let test_greedy_vs_sat_optimality () =
    load-dominated), and three runs long enough to cross the parts of the
    search the first two never reach: too_large W=6 (learnt-database
    reduction), vda W=10 (an inprocessing round) and alu4's incremental
-   min-width walk (an assumption ladder, reductions and inprocessing on one
-   persistent solver). On those three the learnt literals, deleted clauses
-   and LBD histogram pin conflict analysis's output and reduction's
-   choices as well. *)
+   ladder queried at widths 10, 9 and 8 (an assumption ladder, reductions
+   and inprocessing on one persistent solver). On those three the learnt
+   literals, deleted clauses and LBD histogram pin conflict analysis's
+   output and reduction's choices as well. *)
 let encode name graph ~k =
   let s = strategy name in
   let encoded =
@@ -312,23 +312,44 @@ let test_exact_work_counters () =
   Alcotest.(check (pair int int))
     (name ^ ": inprocessing rounds, strengthened") (1, 12)
     Sat.Stats.(stats.inprocess_rounds, stats.inprocess_strengthened);
+  (* the walk alu4's min-width made before the clique bound (9) ended it
+     at w_min: widths 10 and 9 colourable, then 8 refuted, on one
+     persistent solver *)
+  let s = strategy "ITE-linear-2+muldirect/s1@siege" in
+  let name = "alu4 ladder at 10, 9, 8 ITE-linear-2+muldirect/s1@siege" in
+  let ladder =
+    C.Incremental_width.prepare ~strategy:s alu4.F.Benchmarks.graph
+  in
+  let verdicts =
+    List.map
+      (fun width ->
+        match fst (C.Incremental_width.query ladder ~width) with
+        | `Colorable _ -> "colourable"
+        | `Uncolorable -> "uncolourable"
+        | `Timeout | `Memout -> "undecided")
+      [ 10; 9; 8 ]
+  in
+  Alcotest.(check (list string)) (name ^ ": verdicts")
+    [ "colourable"; "colourable"; "uncolourable" ]
+    verdicts;
+  let stats = C.Incremental_width.stats ladder in
+  Alcotest.check counters name (91366, 261688, 9825) (work stats);
+  Alcotest.check learnt name
+    ( 94002,
+      4534,
+      [ 0; 5; 104; 194; 558; 1103; 1594; 1831; 1630; 1039; 715; 414; 235; 149; 86; 168 ]
+    )
+    (learning stats);
   let name = "alu4 incremental min-width ITE-linear-2+muldirect/s1@siege" in
   match
-    C.Incremental_width.minimal_colors
-      ~strategy:(strategy "ITE-linear-2+muldirect/s1@siege")
-      alu4.F.Benchmarks.graph
+    C.Incremental_width.minimal_colors ~strategy:s alu4.F.Benchmarks.graph
   with
   | Error m -> Alcotest.fail m
   | Ok r ->
-      Alcotest.(check int) (name ^ ": queries") 3 r.C.Incremental_width.queries;
-      let stats = r.C.Incremental_width.stats in
-      Alcotest.check counters name (91366, 261688, 9825) (work stats);
-      Alcotest.check learnt name
-        ( 94002,
-          4534,
-          [ 0; 5; 104; 194; 558; 1103; 1594; 1831; 1630; 1039; 715; 414; 235; 149; 86; 168 ]
-        )
-        (learning stats)
+      Alcotest.(check (pair int int)) (name ^ ": w_min and queries") (9, 2)
+        (r.C.Incremental_width.w_min, r.C.Incremental_width.queries);
+      Alcotest.(check int) (name ^ ": conflicts") 2523
+        r.C.Incremental_width.stats.Sat.Stats.conflicts
 
 (* Conflict analysis, decisions and backtracking build no lists, closures,
    options or sets: analysis works in buffers sized once and the decision

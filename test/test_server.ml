@@ -674,10 +674,14 @@ let test_warm_agrees_with_cold () =
     C.Incremental_width.(
       cnf_size (prepare ~strategy:strat alu2.F.Benchmarks.graph))
   in
-  (* widths >= upper take the greedy branch, the rest the solver *)
+  (* widths >= upper take the greedy branch, widths below the clique the
+     clique branch, the rest the solver *)
   let widths =
     List.filter (fun w -> w >= 1) [ upper + 1; upper; upper - 1; upper - 2 ]
   in
+  Alcotest.(check bool) "every branch probed" true
+    (List.exists (fun w -> w < lower) widths
+    && List.exists (fun w -> lower <= w && w < upper) widths);
   List.iter
     (fun w ->
       let ctx what = Printf.sprintf "width %d %s" w what in
@@ -706,16 +710,26 @@ let test_warm_agrees_with_cold () =
             (run.C.Flow.timings.C.Flow.to_graph = 0.
             && run.C.Flow.timings.C.Flow.to_cnf = 0.))
         [ warm; metered ];
-      (* below the greedy bound the ladder drives the solver through
-         assumption selector levels; the max_decision_level watermark must
-         count them even when no free decision happens (it used to track
-         only free decisions, reading 0 on assumption-driven queries) *)
+      (* between the clique and the greedy bound the ladder drives the
+         solver through assumption selector levels; the max_decision_level
+         watermark must count them even when no free decision happens (it
+         used to track only free decisions, reading 0 on assumption-driven
+         queries). Below the clique the stored clique answers, and no
+         solver runs at all. *)
       (match warm.C.Flow.outcome with
-      | (C.Flow.Routable _ | C.Flow.Unroutable) when w < upper ->
+      | (C.Flow.Routable _ | C.Flow.Unroutable) when lower <= w && w < upper
+        ->
           Alcotest.(check bool)
             (Printf.sprintf "width %d decision levels counted" w)
             true
             (warm.C.Flow.solver_stats.Sat.Stats.max_decision_level >= 1)
+      | _ when w < lower ->
+          List.iter
+            (fun (run : C.Flow.run) ->
+              Alcotest.(check bool) (ctx "no solver work") true
+                (run.C.Flow.solver_stats = Sat.Stats.create ()
+                && run.C.Flow.timings.C.Flow.solving = 0.))
+            [ warm; metered ]
       | _ -> ());
       match warm.C.Flow.outcome with
       | C.Flow.Routable d ->
@@ -899,14 +913,15 @@ let test_server_hits_skip_the_pool () =
       Alcotest.(check (pair int int)) "pool gauges unchanged" before (gauges ());
       Thread.join sleeper)
 
-(* Certified routes on both sides of the session's colouring boundary.
-   alu2 under the paper's best strategy has clique bound 5, w_min 6 and
-   DSATUR bound 7. A certified route at a width the session has coloured
-   is answered warm and certified there: from the stored colouring at the
-   DSATUR bound (verify alone), from the ladder's checked model once
-   min_width has coloured 6. Below, at 5, it takes the cold pipeline and
-   returns a checked refutation. Each certified request moves exactly one
-   of the [warm] and [cold] counters. *)
+(* Certified routes in the three bands of a session. alu2 under the
+   paper's best strategy has maximum clique 6, w_min 6 and DSATUR bound 7.
+   At the DSATUR bound a certified route is answered warm from the stored
+   colouring (verify alone). In the gap between the clique and the fewest
+   colours the session has seen, 6 before anything has coloured it, it
+   takes the cold pipeline and returns a checked model. Below the clique,
+   at 5, it is answered warm from the stored clique with no solver call,
+   and the clique certifies the refutation. Each certified request moves
+   exactly one of the [warm] and [cold] counters. *)
 let test_server_certified_warm_and_cold () =
   let strategy = "ITE-linear-2+muldirect/s1@siege" in
   with_server (fun server socket ->
@@ -938,20 +953,29 @@ let test_server_certified_warm_and_cold () =
         let dwarm = counter "warm" - warm0 and dcold = counter "cold" - cold0 in
         Alcotest.(check (pair int int)) (ctx "one of warm or cold")
           (if served_by = "warm" then (1, 0) else (0, 1))
-          (dwarm, dcold)
+          (dwarm, dcold);
+        resp
       in
-      certified 7 ~served_by:"warm" ~outcome:"routable";
-      certified 5 ~served_by:"cold" ~outcome:"unroutable";
+      ignore (certified 7 ~served_by:"warm" ~outcome:"routable");
+      ignore (certified 6 ~served_by:"cold" ~outcome:"routable");
+      let refuted = certified 5 ~served_by:"warm" ~outcome:"unroutable" in
+      (match Option.map Eng.Run_record.of_json refuted.P.run with
+      | Some (Ok record) ->
+          Alcotest.(check bool) "width 5: no solver work" true
+            (record.Eng.Run_record.stats = Sat.Stats.create ()
+            && C.Flow.total record.Eng.Run_record.timings = 0.)
+      | Some (Error m) -> Alcotest.fail m
+      | None -> Alcotest.fail "route response without run payload");
       let mw =
         call_ok socket (P.request ~strategy ~benchmark:"alu2" P.Min_width)
       in
-      Alcotest.(check (option int)) "min_width" (Some 6) mw.P.min_width;
-      certified 6 ~served_by:"warm" ~outcome:"routable")
+      Alcotest.(check (option int)) "min_width" (Some 6) mw.P.min_width)
 
-(* The session side of the same boundary: fewest_colors starts at the
+(* The session side of the same boundaries: fewest_colors starts at the
    DSATUR bound and falls with routable answers; a warm certified answer
-   at or above it carries a checked model, and a warm unroutable answer is
-   never certified, since it holds only under selector assumptions. *)
+   at or above it carries a checked model, and a warm unroutable answer
+   below the clique (alu2's is 6) carries the clique, checked against the
+   global route. *)
 let test_session_fewest_colors () =
   let strat = strategy "ITE-linear-2+muldirect/s1@siege" in
   let session = Srv.Session.create ~benchmark:"alu2" strat alu2 in
@@ -968,10 +992,15 @@ let test_session_fewest_colors () =
   let refuted = Srv.Session.route_warm ~certify:true session ~width:5 in
   Alcotest.(check string) "below w_min" "unroutable"
     (C.Flow.outcome_name refuted.C.Flow.outcome);
-  Alcotest.(check (option bool)) "warm refutation not certified" (Some false)
+  Alcotest.(check (option bool)) "refuted by the clique, checked" (Some true)
     refuted.C.Flow.certified;
   Alcotest.(check (option bool)) "uncertified by default" None
-    (Srv.Session.route_warm session ~width:6).C.Flow.certified
+    (Srv.Session.route_warm session ~width:6).C.Flow.certified;
+  (* the clique answers every width below it, but a width below 1 is no
+     question at all *)
+  Alcotest.check_raises "width 0"
+    (Invalid_argument "Session.route_warm: width < 1") (fun () ->
+      ignore (Srv.Session.route_warm ~certify:true session ~width:0))
 
 let test_server_concurrent_clients () =
   with_server (fun _server socket ->
