@@ -91,15 +91,18 @@ let query ?(budget = Sat.Solver.no_budget) ladder ~width =
         Sat.Solver.Sat model )
 
 (* walk downward; a model using fewer colours lets us skip widths, and
-   [best] always holds a colouring within [w + 1] colours *)
+   [best] always holds a colouring within [w + 1] colours. When the clique
+   meets the DSATUR bound, the stored colouring is already minimal and a
+   query at the bound would prove nothing more. *)
 let walk_down ?(budget = Sat.Solver.no_budget) ladder =
+  let { Width_bounds.lower; upper; coloring = dsatur; _ } = ladder.bounds in
   let rec walk w best =
     let settled () =
       match best with
       | Some coloring -> Ok (w + 1, coloring)
       | None -> Error "DSATUR width came out uncolourable"
     in
-    if w < ladder.bounds.Width_bounds.lower then settled ()
+    if w < lower then settled ()
     else
       match fst (query ~budget ladder ~width:w) with
       | `Uncolorable -> settled ()
@@ -109,7 +112,7 @@ let walk_down ?(budget = Sat.Solver.no_budget) ladder =
           let used = G.Coloring.num_colors coloring in
           walk (min (w - 1) (used - 1)) (Some coloring)
   in
-  walk ladder.bounds.Width_bounds.upper None
+  if lower = upper then Ok (upper, dsatur) else walk upper None
 
 type search_result = {
   w_min : int;

@@ -81,14 +81,19 @@ val walk_down :
     warm [min_width] run: query the ladder from its upper bound downward,
     skipping to just below the colours each model actually used, until a
     width is uncolourable or the next width would be below the maximum
-    clique, which refutes it without a query. Returns the minimal width
-    with a proper colouring in that many colours. The budget
-    applies per query; raises {!Flow.Decode_mismatch} as {!query} does. *)
+    clique, which refutes it without a query. When the clique is as large
+    as the DSATUR colouring's colours, the bounds alone prove that width
+    minimal: the walk returns the DSATUR colouring and makes no query.
+    Returns the minimal width with a proper colouring in that many
+    colours. The budget applies per query; raises {!Flow.Decode_mismatch}
+    as {!query} does. *)
 
 type search_result = {
   w_min : int;
   coloring : Fpgasat_graph.Coloring.t;  (** A proper [w_min]-colouring. *)
-  queries : int;  (** SAT queries answered by the shared solver. *)
+  queries : int;
+      (** SAT queries answered by the shared solver; 0 when the bounds
+          meet. *)
   stats : Fpgasat_sat.Stats.t;  (** Cumulative solver statistics. *)
 }
 

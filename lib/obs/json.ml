@@ -119,11 +119,23 @@ let of_string s =
       Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3f)))
     end
   in
+  (* exactly four hex digits, read by hand: [int_of_string] accepts an
+     underscore after the first digit and raises on any other non-digit *)
   let hex4 () =
     if !pos + 4 > n then fail !pos "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
+    let v = ref 0 in
+    for k = !pos to !pos + 3 do
+      let d =
+        match s.[k] with
+        | '0' .. '9' as c -> Char.code c - Char.code '0'
+        | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+        | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+        | c -> fail k (Printf.sprintf "bad hex digit %C in \\u escape" c)
+      in
+      v := (!v lsl 4) lor d
+    done;
     pos := !pos + 4;
-    v
+    !v
   in
   let parse_string () =
     expect '"';

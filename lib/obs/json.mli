@@ -21,7 +21,9 @@ val to_string : t -> string
     escaped), suitable for JSONL. *)
 
 val of_string : string -> (t, string) result
-(** Parses one JSON value; trailing non-whitespace is an error. *)
+(** Parses one JSON value; trailing non-whitespace is an error. A [\u]
+    escape takes exactly four hex digits. Malformed input gives [Error],
+    not an exception. *)
 
 val find : t -> string -> t option
 (** First binding of the key in an {!Obj}; [None] otherwise. *)

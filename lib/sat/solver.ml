@@ -141,8 +141,10 @@ type state = {
   clauses : Clause.cref Vec.t;
   learnts : Clause.cref Vec.t;
   watches : wlist array; (* indexed by literal *)
-  (* assignment *)
-  assigns : int array; (* -1 false, 0 undef, 1 true; indexed by var *)
+  (* assignment, by literal: 1 true, -1 false, 0 unassigned; a literal
+     and its negation always hold opposite values, so reading one needs no
+     sign branch *)
+  vals : int array;
   level : int array;
   reason : Clause.cref array; (* cref_undef when none *)
   trail : Lit.t Vec.t;
@@ -171,11 +173,8 @@ type state = {
   mutable ok : bool; (* false once level-0 conflict is established *)
 }
 
-let value_var st v = st.assigns.(v)
-
-let value_lit st l =
-  let a = st.assigns.(Lit.var l) in
-  if Lit.sign l then a else -a
+let value_lit st l = st.vals.(l)
+let value_var st v = st.vals.(Lit.pos v)
 
 let decision_level st = Vec.size st.trail_lim
 
@@ -192,7 +191,7 @@ let create cfg cnf proof =
     clauses = Vec.create ~capacity:nclauses ~dummy:Clause.cref_undef ();
     learnts = Vec.create ~dummy:Clause.cref_undef ();
     watches = Array.init (max (2 * nvars) 1) (fun _ -> wl_create ());
-    assigns = Array.make (max nvars 1) 0;
+    vals = Array.make (max (2 * nvars) 1) 0;
     level = Array.make (max nvars 1) 0;
     reason = Array.make (max nvars 1) Clause.cref_undef;
     trail = Vec.create ~dummy:0 ();
@@ -243,8 +242,9 @@ let cla_decay_tick st = st.cla_inc <- st.cla_inc /. st.cfg.clause_decay
 
 let enqueue st l reason =
   let v = Lit.var l in
-  assert (st.assigns.(v) = 0);
-  st.assigns.(v) <- (if Lit.sign l then 1 else -1);
+  assert (st.vals.(l) = 0);
+  st.vals.(l) <- 1;
+  st.vals.(Lit.negate l) <- -1;
   st.level.(v) <- decision_level st;
   st.reason.(v) <- reason;
   Vec.push st.trail l;
@@ -266,11 +266,6 @@ let detach_clause st c =
   wl_remove st.watches.(Lit.negate (Clause.lit db c 0)) c;
   wl_remove st.watches.(Lit.negate (Clause.lit db c 1)) c
 
-(* [value_lit] on the raw assignment array, closed so the hot loop below
-   calls no closure per watcher visit. *)
-let[@inline] lit_value assigns l =
-  if l land 1 = 0 then assigns.(l lsr 1) else -assigns.(l lsr 1)
-
 (* Propagate all enqueued facts; returns the conflicting cref, or
    [Clause.cref_undef]. The hot loop works on the raw arena and raw watcher
    arrays: a watcher visit whose blocker is satisfied touches no clause
@@ -279,7 +274,7 @@ let[@inline] lit_value assigns l =
 let propagate st =
   let conflict = ref Clause.cref_undef in
   let arena = Clause.raw st.db in
-  let assigns = st.assigns in
+  let vals = st.vals in
   let header_words = Clause.header_words in
   while !conflict = Clause.cref_undef && st.qhead < Vec.size st.trail do
     let p = Vec.get st.trail st.qhead in
@@ -293,7 +288,7 @@ let propagate st =
       let blocker = wdata.(!i) in
       let cr = wdata.(!i + 1) in
       i := !i + 2;
-      if lit_value assigns blocker = 1 then begin
+      if vals.(blocker) = 1 then begin
         wdata.(!j) <- blocker;
         wdata.(!j + 1) <- cr;
         j := !j + 2
@@ -307,7 +302,7 @@ let propagate st =
           arena.(base + 1) <- l0
         end;
         let first = arena.(base) in
-        if first <> blocker && lit_value assigns first = 1 then begin
+        if first <> blocker && vals.(first) = 1 then begin
           (* satisfied: keep the watcher, refresh the blocker *)
           wdata.(!j) <- first;
           wdata.(!j + 1) <- cr;
@@ -317,7 +312,7 @@ let propagate st =
           (* find a replacement watch among positions 2.. *)
           let size = arena.(cr) in
           let k = ref 2 in
-          while !k < size && lit_value assigns arena.(base + !k) = -1 do
+          while !k < size && vals.(arena.(base + !k)) = -1 do
             incr k
           done;
           if !k < size then begin
@@ -332,7 +327,7 @@ let propagate st =
             wdata.(!j) <- first;
             wdata.(!j + 1) <- cr;
             j := !j + 2;
-            if lit_value assigns first = -1 then begin
+            if vals.(first) = -1 then begin
               conflict := cr;
               st.qhead <- Vec.size st.trail;
               while !i < n do
@@ -359,7 +354,8 @@ let cancel_until st lvl =
       let l = Vec.pop st.trail in
       let v = Lit.var l in
       if st.cfg.phase_saving then st.phase.(v) <- Lit.sign l;
-      st.assigns.(v) <- 0;
+      st.vals.(l) <- 0;
+      st.vals.(Lit.negate l) <- 0;
       st.reason.(v) <- Clause.cref_undef;
       Heap.insert st.order v
     done;
@@ -544,7 +540,7 @@ let gc st =
   remap st.learnts;
   for v = 0 to st.nvars - 1 do
     let r = st.reason.(v) in
-    if st.assigns.(v) <> 0 && r <> Clause.cref_undef then
+    if value_var st v <> 0 && r <> Clause.cref_undef then
       (* deleted reasons can only back level-0 literals (inprocessing runs
          at level 0; reduce_db never deletes locked clauses), and level-0
          reasons are never dereferenced — drop them *)
@@ -618,7 +614,7 @@ let restart_limit_of_config cfg k =
 let restart_limit st k = restart_limit_of_config st.cfg k
 
 let extract_model st =
-  Array.init st.nvars (fun v -> st.assigns.(v) > 0)
+  Array.init st.nvars (fun v -> value_var st v > 0)
 
 exception Found_unsat
 exception Assumption_failed

@@ -8,9 +8,11 @@
     The propagation core is cache-conscious: all clauses live in one flat
     int arena ({!Clause}) referenced by integer crefs, watch lists are packed
     [(blocker, cref)] int pairs so a visit whose blocker literal is already
-    satisfied never touches clause memory, and database reduction compacts
-    the arena (relocating live clauses and rebuilding watches) instead of
-    leaving lazily-deleted garbage pinned by watch lists. Between restarts
+    satisfied never touches clause memory, the assignment holds one value
+    per literal so reading a literal's value is one load with no branch on
+    its sign, and database reduction compacts the arena (relocating live
+    clauses and rebuilding watches) instead of leaving lazily-deleted
+    garbage pinned by watch lists. Between restarts
     the solver runs bounded inprocessing — self-subsumption and clause
     vivification under an explicit work budget (see {!config}) — emitting
     DRAT add/delete steps so certified runs stay checkable.

@@ -218,20 +218,30 @@ let test_binary_search_budget_error () =
 
 (* --- incremental width --- *)
 
+(* On [small_graph] the maximum clique meets the DSATUR bound, so the walk
+   answers from the bounds with no query; on alu2 (clique 6, DSATUR 7) it
+   has to search. *)
 let test_incremental_matches_binary_search () =
-  match
-    ( C.Binary_search.minimal_width small_route,
-      C.Incremental_width.minimal_colors small_graph )
-  with
-  | Ok bs, Ok inc ->
-      Alcotest.(check int) "same minimal width" bs.C.Binary_search.w_min
-        inc.C.Incremental_width.w_min;
-      Alcotest.(check bool) "colouring proper" true
-        (G.Coloring.is_proper small_graph ~k:inc.C.Incremental_width.w_min
-           inc.C.Incremental_width.coloring);
-      Alcotest.(check bool) "made some queries" true
-        (inc.C.Incremental_width.queries >= 1)
-  | Error m, _ | _, Error m -> Alcotest.fail m
+  let alu2 = F.Benchmarks.build (Option.get (F.Benchmarks.find "alu2")) in
+  List.iter
+    (fun (name, route, graph, searches) ->
+      match
+        ( C.Binary_search.minimal_width route,
+          C.Incremental_width.minimal_colors graph )
+      with
+      | Ok bs, Ok inc ->
+          Alcotest.(check int) (name ^ ": same minimal width")
+            bs.C.Binary_search.w_min inc.C.Incremental_width.w_min;
+          Alcotest.(check bool) (name ^ ": colouring proper") true
+            (G.Coloring.is_proper graph ~k:inc.C.Incremental_width.w_min
+               inc.C.Incremental_width.coloring);
+          Alcotest.(check bool) (name ^ ": made SAT queries") searches
+            (inc.C.Incremental_width.queries > 0)
+      | Error m, _ | _, Error m -> Alcotest.fail (name ^ ": " ^ m))
+    [
+      ("small", small_route, small_graph, false);
+      ("alu2", alu2.F.Benchmarks.route, alu2.F.Benchmarks.graph, true);
+    ]
 
 let test_incremental_other_encodings () =
   List.iter

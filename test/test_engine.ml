@@ -75,7 +75,20 @@ let test_json_parse_details () =
   Alcotest.(check bool) "torn object" true
     (is_error "{\"schema\":\"fpgasat.run/1\",\"bench");
   Alcotest.(check bool) "bad escape" true (is_error "\"\\q\"");
-  Alcotest.(check bool) "lone surrogate" true (is_error "\"\\ud800\"")
+  Alcotest.(check bool) "lone surrogate" true (is_error "\"\\ud800\"");
+  (* a \u escape takes exactly four hex digits; anything else is an Error,
+     never an exception *)
+  List.iter
+    (fun s -> Alcotest.(check bool) s true (is_error s))
+    [
+      {|"\uZZZZ"|};
+      {|"\u12G4"|};
+      {|"\u+123"|};
+      {|"\u_0_4"|};
+      {|"\u0_04"|};
+      {|"\ud800\uZZZZ"|};
+      {|{"id":"\uZZZZ"}|};
+    ]
 
 let json_gen =
   let open QCheck2.Gen in
@@ -111,6 +124,48 @@ let json_roundtrip_prop =
       match Json.of_string (Json.to_string v) with
       | Ok v' -> Json.equal v v'
       | Error _ -> false)
+
+(* [Json.of_string] reads bytes from sockets, journals and JSONL files: on
+   any input it returns [Ok] or [Error] and never raises. The strings are
+   drawn from JSON's own tokens, so escapes, surrogates and numbers come up
+   often. *)
+let json_never_raises ~name ~count gen =
+  QCheck2.Test.make ~count ~name gen (fun s ->
+      match Json.of_string s with Ok _ | Error _ -> true)
+
+let json_token_soup_prop =
+  let token =
+    QCheck2.Gen.oneofl
+      [ "\""; "\\"; "\\u"; "\\ud800"; "{"; "}"; "["; "]"; ":"; ",";
+        "0"; "1e"; "-"; "+"; "."; "_"; "a"; "F"; "Z"; "G"; "null"; "tru";
+        " "; "\001"; "\xff" ]
+  in
+  json_never_raises ~name:"Json.of_string never raises on token soup"
+    ~count:2000
+    QCheck2.Gen.(map (String.concat "") (list_size (int_range 0 24) token))
+
+(* One byte of a real run-record line replaced. The benchmark name carries
+   control characters, so the line holds \u escapes for the byte to hit. *)
+let json_mutated_record_prop =
+  let line =
+    Run_record.to_line
+      (Run_record.of_run ~benchmark:"ctl\001\031" ~wall_seconds:0.25
+         (Flow.(submit (default_request |> with_strategy Strategy.best_single))
+            small_route ~width:small_ub))
+  in
+  let gen =
+    QCheck2.Gen.(
+      map2
+        (fun pos c ->
+          let b = Bytes.of_string line in
+          Bytes.set b pos c;
+          Bytes.to_string b)
+        (int_bound (String.length line - 1))
+        char)
+  in
+  json_never_raises
+    ~name:"Json.of_string never raises on a run record with one byte replaced"
+    ~count:2000 gen
 
 (* ---------- Pool ---------- *)
 
@@ -672,7 +727,13 @@ let test_portfolio_empty_rejected () =
 (* ---------- suite ---------- *)
 
 let qtests =
-  List.map QCheck_alcotest.to_alcotest [ json_roundtrip_prop; strategy_roundtrip_prop ]
+  List.map QCheck_alcotest.to_alcotest
+    [
+      json_roundtrip_prop;
+      json_token_soup_prop;
+      json_mutated_record_prop;
+      strategy_roundtrip_prop;
+    ]
 
 let () =
   Alcotest.run "engine"

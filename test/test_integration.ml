@@ -259,7 +259,9 @@ let test_greedy_vs_sat_optimality () =
    ladder queried at widths 10, 9 and 8 (an assumption ladder, reductions
    and inprocessing on one persistent solver). On those three the learnt
    literals, deleted clauses and LBD histogram pin conflict analysis's
-   output and reduction's choices as well. *)
+   output and reduction's choices as well. The DRAT text of a Table 2
+   refutation on wide clauses (C880 W=8 under ITE-log/s1) pins every
+   learnt clause and deletion byte for byte. *)
 let encode name graph ~k =
   let s = strategy name in
   let encoded =
@@ -312,6 +314,30 @@ let test_exact_work_counters () =
   Alcotest.(check (pair int int))
     (name ^ ": inprocessing rounds, strengthened") (1, 12)
     Sat.Stats.(stats.inprocess_rounds, stats.inprocess_strengthened);
+  (* the DRAT file [route C880 -w 8 -s ITE-log/s1@siege --proof] writes *)
+  let name = "C880 W=8 ITE-log/s1@siege DRAT steps, bytes, MD5" in
+  let run =
+    Flow.submit
+      Flow.(
+        default_request
+        |> with_strategy (strategy "ITE-log/s1@siege")
+        |> with_proof true)
+      c880.F.Benchmarks.route ~width:8
+  in
+  (match run.Flow.proof with
+  | None -> Alcotest.fail (name ^ ": no proof")
+  | Some proof ->
+      let path = Filename.temp_file "fpgasat-c880" ".drat" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc -> Sat.Proof.output oc proof);
+          let text = In_channel.with_open_bin path In_channel.input_all in
+          Alcotest.(check (triple int int string)) name
+            (11069, 481707, "3f5e147f9f43473227ae7f0cfdff43a8")
+            ( Sat.Proof.num_steps proof,
+              String.length text,
+              Digest.to_hex (Digest.string text) )));
   (* the walk alu4's min-width made before the clique bound (9) ended it
      at w_min: widths 10 and 9 colourable, then 8 refuted, on one
      persistent solver *)

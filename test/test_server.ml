@@ -255,6 +255,30 @@ let test_journal_tolerates_torn_tail () =
         (Srv.Answer_cache.torn c3);
       Srv.Answer_cache.detach_journal c3)
 
+(* A line whose \u escape has a non-hex digit is unparsable like any torn
+   line: counted, skipped, and the lines around it replay. *)
+let test_journal_bad_escape_counted_torn () =
+  let path = tmp_journal () in
+  Fun.protect
+    ~finally:(fun () -> journal_cleanup path)
+    (fun () ->
+      let c1 = Srv.Answer_cache.create () in
+      ignore (attach_ok c1 path);
+      Srv.Answer_cache.add c1 "a" (J.Obj [ ("n", J.Int 1) ]);
+      Srv.Answer_cache.detach_journal c1;
+      let oc = open_out_gen [ Open_wronly; Open_append ] 0o644 path in
+      output_string oc "{\"cache_key\":\"\\uZZZZ\"}\n";
+      output_string oc "{\"n\":2,\"cache_key\":\"b\"}\n";
+      close_out oc;
+      let c2 = Srv.Answer_cache.create () in
+      Alcotest.(check int) "lines around it replayed" 2 (attach_ok c2 path);
+      Alcotest.(check int) "bad escape counted torn" 1
+        (Srv.Answer_cache.torn c2);
+      Alcotest.(check bool) "both good entries present" true
+        (Srv.Answer_cache.find c2 "a" <> None
+        && Srv.Answer_cache.find c2 "b" <> None);
+      Srv.Answer_cache.detach_journal c2)
+
 let test_journal_capacity_truncates_replay () =
   let path = tmp_journal () in
   Fun.protect
@@ -764,22 +788,38 @@ let test_warm_min_width_agrees_with_search () =
   | Error m -> Alcotest.fail m
 
 (* The server's warm min_width and the library's minimal_colors share one
-   walk over the ladder. *)
+   walk over the ladder. On too_large the maximum clique and the DSATUR
+   colouring meet at 7, so the walk makes no query. *)
 let test_warm_min_width_agrees_with_minimal_colors () =
+  let too_large =
+    F.Benchmarks.build (Option.get (F.Benchmarks.find "too_large"))
+  in
   List.iter
-    (fun sname ->
+    (fun (bname, inst, sname, pinned) ->
       let strat = strategy sname in
-      let session = Srv.Session.create ~benchmark:"alu2" strat alu2 in
+      let ctx = bname ^ " " ^ sname in
+      let session = Srv.Session.create ~benchmark:bname strat inst in
       match
         ( Srv.Session.min_width session,
           C.Incremental_width.minimal_colors ~strategy:strat
-            alu2.F.Benchmarks.graph )
+            inst.F.Benchmarks.graph )
       with
-      | Ok warm, Ok search ->
-          Alcotest.(check int) (sname ^ ": same w_min")
-            search.C.Incremental_width.w_min warm
-      | Error m, _ | _, Error m -> Alcotest.fail (sname ^ ": " ^ m))
-    [ "direct@siege"; "ITE-linear-2+muldirect/s1" ]
+      | Ok warm, Ok search -> (
+          Alcotest.(check int) (ctx ^ ": same w_min")
+            search.C.Incremental_width.w_min warm;
+          match pinned with
+          | None -> ()
+          | Some w_min_and_queries ->
+              Alcotest.(check (pair int int)) (ctx ^ ": w_min and queries")
+                w_min_and_queries
+                (search.C.Incremental_width.w_min,
+                 search.C.Incremental_width.queries))
+      | Error m, _ | _, Error m -> Alcotest.fail (ctx ^ ": " ^ m))
+    [
+      ("alu2", alu2, "direct@siege", None);
+      ("alu2", alu2, "ITE-linear-2+muldirect/s1", None);
+      ("too_large", too_large, "ITE-linear-2+muldirect/s1", Some (7, 0));
+    ]
 
 (* ---------- the server over a real socket ---------- *)
 
@@ -1513,6 +1553,35 @@ let test_server_request_line_cap () =
       Alcotest.(check string) "server still answers" "ok"
         (P.status_name pong.P.status))
 
+(* A request whose \u escape is not four hex digits is a protocol error:
+   one error line, counted, and the connection goes on answering. *)
+let test_server_bad_escape_is_an_error () =
+  with_server (fun server socket ->
+      let fd = raw_connect socket in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let ic = Unix.in_channel_of_descr fd in
+          let reply () =
+            match P.parse_response (input_line ic) with
+            | Ok resp -> resp
+            | Error m -> Alcotest.fail m
+          in
+          let errors0 = server_counter server "errors" in
+          write_all fd
+            "{\"schema\":\"fpgasat.req/1\",\"op\":\"ping\",\"id\":\"\\uZZZZ\"}\n";
+          let refused = reply () in
+          Alcotest.(check string) "bad escape refused" "error"
+            (P.status_name refused.P.status);
+          Alcotest.(check int) "counted as an error" (errors0 + 1)
+            (server_counter server "errors");
+          write_all fd (request_line (P.request ~id:"after" P.Ping));
+          let pong = reply () in
+          Alcotest.(check string) "same connection still answered" "ok"
+            (P.status_name pong.P.status);
+          Alcotest.(check (option string)) "its id" (Some "after")
+            pong.P.resp_id))
+
 (* ---------- crash-safety: client timeouts and retry ---------- *)
 
 let test_client_timeout_bounds_hung_server () =
@@ -1652,6 +1721,8 @@ let () =
             test_journal_replay_and_compaction;
           Alcotest.test_case "torn tail tolerated" `Quick
             test_journal_tolerates_torn_tail;
+          Alcotest.test_case "bad escape counted torn" `Quick
+            test_journal_bad_escape_counted_torn;
           Alcotest.test_case "capacity truncates replay" `Quick
             test_journal_capacity_truncates_replay;
           Alcotest.test_case "pid lock excludes second writer" `Quick
@@ -1729,6 +1800,8 @@ let () =
             test_server_survives_hang_up;
           Alcotest.test_case "request line cap" `Quick
             test_server_request_line_cap;
+          Alcotest.test_case "bad escape is an error" `Quick
+            test_server_bad_escape_is_an_error;
           Alcotest.test_case "client timeout bounds a hung server" `Quick
             test_client_timeout_bounds_hung_server;
           Alcotest.test_case "client retry rides out overload" `Slow
