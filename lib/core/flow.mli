@@ -94,7 +94,7 @@ type evidence =
     [cnf] plus {!Fpgasat_fpga.Detailed_route.verify}, and an [`Uncolorable]
     answer by checking the proof against [cnf] with
     {!Fpgasat_sat.Drat_check}. The other two are answers found without a
-    solver. [`Unsolved] is a colouring, such as a session's stored DSATUR
+    solver. [`Unsolved] is a colouring, such as a session's stored best
     colouring: no model exists, so {!Fpgasat_fpga.Detailed_route.verify}
     alone certifies it. Its dual [`Clique subnets] certifies an
     [`Uncolorable] answer by

@@ -17,8 +17,7 @@ type ladder = {
    CNF (a blit, not a clause-by-clause rebuild). Under definitional
    emission the encoder's (vertex, colour) definitions are already in the
    copied arena, so the selector clauses stay binary (~sel_c | ~d_v,c)
-   instead of re-expanding the indexing pattern. Deterministic: a rebuild
-   yields the same formula, selector variables included. *)
+   instead of re-expanding the indexing pattern. *)
 let augment encoded ~upper =
   let cnf = Sat.Cnf.copy encoded.E.Csp_encode.cnf in
   let selectors = Array.init upper (fun _ -> Sat.Cnf.fresh_var cnf) in
@@ -66,11 +65,6 @@ let cnf_size ladder =
   let cnf = ladder.encoded.E.Csp_encode.cnf in
   (Sat.Cnf.num_vars cnf, Sat.Cnf.num_clauses cnf)
 
-(* rebuilt rather than kept: certified warm answers are rare, and a kept
-   copy would grow every session's resident set for all its life *)
-let cnf ladder =
-  fst (augment ladder.encoded ~upper:ladder.bounds.Width_bounds.upper)
-
 let query ?(budget = Sat.Solver.no_budget) ladder ~width =
   if width < 1 then invalid_arg "Incremental_width.query: width < 1";
   (* the formula is sized at the DSATUR upper bound; any larger width is
@@ -83,12 +77,11 @@ let query ?(budget = Sat.Solver.no_budget) ladder ~width =
         Sat.Lit.pos ladder.selectors.(w + i))
   in
   match Sat.Solver.solve_with ~budget ~assumptions ladder.solver with
-  | Sat.Solver.Q_unsat -> (`Uncolorable, Sat.Solver.Unsat)
-  | Sat.Solver.Q_unknown -> (`Timeout, Sat.Solver.Unknown)
-  | Sat.Solver.Q_memout -> (`Memout, Sat.Solver.Memout)
+  | Sat.Solver.Q_unsat -> `Uncolorable
+  | Sat.Solver.Q_unknown -> `Timeout
+  | Sat.Solver.Q_memout -> `Memout
   | Sat.Solver.Q_sat model ->
-      ( `Colorable (Flow.decode ladder.encoded ladder.csp model),
-        Sat.Solver.Sat model )
+      `Colorable (Flow.decode ladder.encoded ladder.csp model)
 
 (* walk downward; a model using fewer colours lets us skip widths, and
    [best] always holds a colouring within [w + 1] colours. When the clique
@@ -104,7 +97,7 @@ let walk_down ?(budget = Sat.Solver.no_budget) ladder =
     in
     if w < lower then settled ()
     else
-      match fst (query ~budget ladder ~width:w) with
+      match query ~budget ladder ~width:w with
       | `Uncolorable -> settled ()
       | `Timeout -> Error "budget exhausted during width search"
       | `Memout -> Error "memory budget exhausted during width search"

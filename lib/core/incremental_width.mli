@@ -31,20 +31,15 @@ val prepare : ?strategy:Strategy.t -> Fpgasat_graph.Graph.t -> ladder
     assumption-only call on the shared solver. *)
 
 val query :
-  ?budget:Fpgasat_sat.Solver.budget ->
-  ladder ->
-  width:int ->
-  Flow.answer * Fpgasat_sat.Solver.result
+  ?budget:Fpgasat_sat.Solver.budget -> ladder -> width:int -> Flow.answer
 (** Is the graph colourable with [width] colours? The budget applies to
     this query alone; learnt clauses persist across queries. Widths above
     the ladder's upper bound are answered at the upper bound (equivalent:
     a colouring within fewer colours fits a fortiori). Models are read
-    through {!Flow.decode}. The solver's result comes alongside: its model
-    satisfies {!cnf}, so [`Solved (cnf ladder, result)] lets
-    {!Flow.finish} certify a colouring; an [`Uncolorable] answer holds only
-    under the selector assumptions and has no standalone refutation.
-    Raises [Invalid_argument] when [width < 1] and {!Flow.Decode_mismatch}
-    if a model fails to decode into a proper colouring. *)
+    through {!Flow.decode}. An [`Uncolorable] answer holds only under the
+    selector assumptions and has no standalone refutation. Raises
+    [Invalid_argument] when [width < 1] and {!Flow.Decode_mismatch} if a
+    model fails to decode into a proper colouring. *)
 
 val bounds : ladder -> Width_bounds.t
 (** The bracket the ladder was built with: its maximum clique, its DSATUR
@@ -64,12 +59,6 @@ val cnf_hash : ladder -> int64
 
 val cnf_size : ladder -> int * int
 (** [(vars, clauses)] of the encoded problem CNF, for run records. *)
-
-val cnf : ladder -> Fpgasat_sat.Cnf.t
-(** The selector-augmented CNF the ladder's solver was loaded from — the
-    encoded problem plus the selector clauses — against which its models
-    are checked. Rebuilt on each call, identically, since the ladder does
-    not keep it. *)
 
 (** {1 Minimal-width search} *)
 

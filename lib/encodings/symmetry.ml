@@ -12,10 +12,22 @@ let of_name s =
   | _ -> None
 
 (* Descending degree, ties by descending sum of neighbours' degrees, then by
-   index for determinism. *)
+   ascending index for determinism. Both scores are computed once per
+   vertex, so a comparison reads four ints. *)
 let degree_order g vertices =
-  let score v = (G.Graph.degree g v, G.Graph.neighbor_degree_sum g v, -v) in
-  List.sort (fun a b -> compare (score b) (score a)) vertices
+  let n = G.Graph.num_vertices g in
+  let degree = Array.make n 0 and sum = Array.make n 0 in
+  List.iter
+    (fun v ->
+      degree.(v) <- G.Graph.degree g v;
+      sum.(v) <- G.Graph.neighbor_degree_sum g v)
+    vertices;
+  List.sort
+    (fun a b ->
+      if degree.(a) <> degree.(b) then Int.compare degree.(b) degree.(a)
+      else if sum.(a) <> sum.(b) then Int.compare sum.(b) sum.(a)
+      else Int.compare a b)
+    vertices
 
 let sequence heuristic g ~k =
   let n = G.Graph.num_vertices g in

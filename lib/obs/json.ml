@@ -73,6 +73,10 @@ exception Parse_fail of string
 
 let fail pos msg = raise (Parse_fail (Printf.sprintf "at offset %d: %s" pos msg))
 
+(* Protocol lines and run records nest a few levels deep. The cap bounds
+   the parser's stack on hostile input such as a long run of '['. *)
+let max_depth = 64
+
 let of_string s =
   let n = String.length s in
   let pos = ref 0 in
@@ -215,7 +219,14 @@ let of_string s =
           | Some f -> Float f
           | None -> fail start (Printf.sprintf "bad number %S" text))
   in
-  let rec parse_value () =
+  (* opens an array or object inside [depth] others; each level is one
+     frame of [parse_value]'s recursion *)
+  let enter depth =
+    if depth >= max_depth then
+      fail !pos (Printf.sprintf "nested deeper than %d levels" max_depth);
+    advance ()
+  in
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | Some 'n' -> literal "null" Null
@@ -223,25 +234,25 @@ let of_string s =
     | Some 'f' -> literal "false" (Bool false)
     | Some '"' -> String (parse_string ())
     | Some '[' ->
-        advance ();
+        enter depth;
         skip_ws ();
         if peek () = Some ']' then begin
           advance ();
           List []
         end
         else begin
-          let items = ref [ parse_value () ] in
+          let items = ref [ parse_value (depth + 1) ] in
           skip_ws ();
           while peek () = Some ',' do
             advance ();
-            items := parse_value () :: !items;
+            items := parse_value (depth + 1) :: !items;
             skip_ws ()
           done;
           expect ']';
           List (List.rev !items)
         end
     | Some '{' ->
-        advance ();
+        enter depth;
         skip_ws ();
         if peek () = Some '}' then begin
           advance ();
@@ -253,7 +264,7 @@ let of_string s =
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             (k, v)
           in
           let items = ref [ binding () ] in
@@ -270,7 +281,7 @@ let of_string s =
     | None -> fail !pos "expected a value"
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail !pos "trailing garbage";
     v

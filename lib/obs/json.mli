@@ -22,8 +22,9 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 (** Parses one JSON value; trailing non-whitespace is an error. A [\u]
-    escape takes exactly four hex digits. Malformed input gives [Error],
-    not an exception. *)
+    escape takes exactly four hex digits, and arrays and objects nest at
+    most 64 levels deep. Malformed input gives [Error], not an
+    exception. *)
 
 val find : t -> string -> t option
 (** First binding of the key in an {!Obj}; [None] otherwise. *)

@@ -68,8 +68,9 @@ type request = {
   certify : bool;
       (** Independently check the answer. The warm session certifies
           widths below its maximum clique (the clique, checked against the
-          global route) and from the fewest colours it has seen up (a
-          checked model or colouring). A certified width in the gap
+          global route) and from the fewest colours it has seen up (the
+          stored colouring, checked against the architecture). A
+          certified width in the gap
           between them takes the cold {!Fpgasat_core.Flow.submit} path,
           since a per-query UNSAT under selector assumptions is not a
           standalone DRAT refutation. *)
@@ -116,7 +117,7 @@ type served_by =
   | Cache  (** Answered from the LRU answer cache; no solver ran. *)
   | Warm
       (** Answered by a warm session: by its incremental ladder, or
-          without a solver from its stored clique or greedy colouring. *)
+          without a solver from its stored clique or best colouring. *)
   | Cold  (** Full {!Fpgasat_core.Flow.submit} pipeline. *)
 
 val served_by_name : served_by -> string

@@ -306,7 +306,7 @@ let run_route server (req : P.request) strategy ?known ~arrival ~suspect
                  refutation holds only under selector assumptions: a
                  standalone one needs the cold pipeline. Below the gap the
                  stored clique certifies the refutation warm; above it the
-                 answer is routable and certifies warm. *)
+                 session's best colouring routes and certifies it warm. *)
               Atomic.incr server.counters.cold;
               let request =
                 C.Flow.(

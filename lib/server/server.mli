@@ -6,10 +6,10 @@
     - {b Warm sessions} ({!Session}): one incremental ladder per
       benchmark × strategy, encoded on first use and reused by every
       later width query. Widths below the session's maximum clique and
-      from its DSATUR bound up are answered without a solver. A
+      from the fewest colours of any colouring it has seen up are
+      answered without a solver, from the stored clique or colouring. A
       certified request goes to the cold {!Fpgasat_core.Flow.submit}
-      pipeline only in the gap between the clique and the fewest colours
-      the session has seen.
+      pipeline only in the gap between the two.
     - {b Answer cache} ({!Answer_cache}): decisive answers keyed by
       CNF structural hash × strategy × width × budget × certify are
       replayed without running a solver. Each is stored as the text of

@@ -13,16 +13,19 @@ type t = {
   key_prefix : string;  (* "cnf-structural-hash|strategy|" of [cache_key] *)
   prepare_seconds : float;
   mutex : Mutex.t;
-  (* the fewest colours of any colouring this session has seen: the DSATUR
-     colouring's, lowered by min_width results and warm routable answers.
-     Lowered under [mutex]; atomic so that deciding where a certified
-     request goes never waits for a query in progress *)
-  fewest : int Atomic.t;
+  (* the colouring in the fewest colours this session has seen, with that
+     number: at first the DSATUR colouring, then the min_width result or a
+     routable ladder answer. Lowered under [mutex]; atomic so that the
+     widths it answers never wait for a query in progress *)
+  best : (int * G.Coloring.t) Atomic.t;
 }
 
 let create ~benchmark strategy (inst : F.Benchmarks.instance) =
   let t0 = Unix.gettimeofday () in
   let ladder = C.Incremental_width.prepare ~strategy inst.F.Benchmarks.graph in
+  let { C.Width_bounds.upper; coloring; _ } =
+    C.Incremental_width.bounds ladder
+  in
   let cnf_vars, cnf_clauses = C.Incremental_width.cnf_size ladder in
   {
     benchmark;
@@ -37,8 +40,7 @@ let create ~benchmark strategy (inst : F.Benchmarks.instance) =
         (C.Strategy.name strategy);
     prepare_seconds = Unix.gettimeofday () -. t0;
     mutex = Mutex.create ();
-    fewest =
-      Atomic.make (C.Incremental_width.bounds ladder).C.Width_bounds.upper;
+    best = Atomic.make (upper, coloring);
   }
 
 let benchmark t = t.benchmark
@@ -91,55 +93,60 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let fewest_colors t = Atomic.get t.fewest
-let saw_colors t n = Atomic.set t.fewest (min (Atomic.get t.fewest) n)
+let fewest_colors t = fst (Atomic.get t.best)
+
+(* under [mutex], so the only writer at a time *)
+let saw t coloring =
+  let n = G.Coloring.num_colors coloring in
+  if n < fewest_colors t then Atomic.set t.best (n, coloring)
 
 let route_warm ?(budget = Sat.Solver.no_budget) ?(telemetry = false)
     ?(certify = false) t ~width =
   if width < 1 then invalid_arg "Session.route_warm: width < 1";
   (* graph and CNF translation are amortised over the session: this query
      paid neither *)
-  let finish ~solving ~stats ?words_allocated evidence answer =
-    C.Flow.finish
-      ?certify:(if certify then Some (Lazy.force evidence) else None)
-      ?words_allocated ~strategy:t.strategy
+  let finish ~solving ~stats ?words_allocated ?certify answer =
+    C.Flow.finish ?certify ?words_allocated ~strategy:t.strategy
       ~cnf_size:(t.cnf_vars, t.cnf_clauses)
       ~timings:{ C.Flow.to_graph = 0.; to_cnf = 0.; solving }
       ~stats t.route ~width answer
   in
-  (* below the clique or from the DSATUR bound up the stored bounds answer
-     without the solver, so without its lock *)
+  (* below the clique, or in at least the best colouring's colours, the
+     stored certificates answer without the solver, so without its lock *)
   let stored evidence answer =
     finish ~solving:0. ~stats:(Sat.Stats.create ())
       ?words_allocated:(if telemetry then Some 0 else None)
-      evidence answer
+      ?certify:(if certify then Some evidence else None)
+      answer
   in
-  let { C.Width_bounds.clique; coloring; lower; upper } =
-    C.Incremental_width.bounds t.ladder
-  in
-  if width < lower then stored (lazy (`Clique clique)) `Uncolorable
-  else if width >= upper then stored (lazy `Unsolved) (`Colorable coloring)
+  let { C.Width_bounds.clique; lower; _ } = C.Incremental_width.bounds t.ladder in
+  let colors, coloring = Atomic.get t.best in
+  if width < lower then stored (`Clique clique) `Uncolorable
+  else if width >= colors then stored `Unsolved (`Colorable coloring)
+  else if certify then
+    invalid_arg "Session.route_warm: certify in the ladder band"
   else
     locked t (fun () ->
         let before = snapshot (C.Incremental_width.stats t.ladder) in
-        let ((answer, result), solving), words_allocated =
+        let (answer, solving), words_allocated =
           C.Flow.metered ~telemetry (fun () ->
               let t0 = Unix.gettimeofday () in
-              let query = C.Incremental_width.query ~budget t.ladder ~width in
-              (query, Unix.gettimeofday () -. t0))
+              let answer = C.Incremental_width.query ~budget t.ladder ~width in
+              (answer, Unix.gettimeofday () -. t0))
         in
         (match answer with
-        | `Colorable coloring -> saw_colors t (G.Coloring.num_colors coloring)
+        | `Colorable coloring -> saw t coloring
         | `Uncolorable | `Timeout | `Memout -> ());
         let stats = diff before (snapshot (C.Incremental_width.stats t.ladder)) in
-        finish ~solving ~stats ?words_allocated
-          (lazy (`Solved (C.Incremental_width.cnf t.ladder, result)))
-          answer)
+        finish ~solving ~stats ?words_allocated answer)
 
 let min_width ?(budget = Sat.Solver.no_budget) t =
-  locked t (fun () ->
-      match C.Incremental_width.walk_down ~budget t.ladder with
-      | Ok (w, _) ->
-          saw_colors t w;
-          Ok w
-      | Error _ as e -> e)
+  let lower = (C.Incremental_width.bounds t.ladder).C.Width_bounds.lower in
+  if fewest_colors t = lower then Ok lower
+  else
+    locked t (fun () ->
+        match C.Incremental_width.walk_down ~budget t.ladder with
+        | Ok (w, coloring) ->
+            saw t coloring;
+            Ok w
+        | Error _ as e -> e)

@@ -10,7 +10,8 @@
     A session serialises its own solver access with an internal mutex, so
     any number of server workers may hold the same session; ladder queries
     on one session run one at a time (queries on different sessions run in
-    parallel, and answers from the stored bounds take no lock). *)
+    parallel, and answers from the stored clique and colouring take no
+    lock). *)
 
 type t
 
@@ -21,8 +22,8 @@ val create :
   t
 (** The cold part: builds the ladder (encode at the DSATUR upper bound),
     whose {!Fpgasat_core.Width_bounds} supply the maximum clique that
-    answers [width < lower] and the greedy colouring that answers
-    [width ≥ upper], both instantly. *)
+    answers [width < lower] and the DSATUR colouring that starts the
+    session's best colouring (see {!fewest_colors}), both instantly. *)
 
 val benchmark : t -> string
 val strategy : t -> Fpgasat_core.Strategy.t
@@ -46,13 +47,14 @@ val cache_key :
     entries. *)
 
 val fewest_colors : t -> int
-(** The fewest colours of any colouring this session has seen. It starts
-    at the DSATUR upper bound and is lowered by every {!min_width} result
-    and every routable {!route_warm} answer; it never rises. A width at or
-    above it is routable, so a certified request there can be served by
-    {!route_warm}, and so can one below the clique bound, which the clique
-    refutes. Between the two, only a cold solve can supply a standalone
-    refutation. *)
+(** The fewest colours of any colouring this session has seen. The
+    session keeps that colouring too: at first the DSATUR colouring, then
+    the {!min_width} result or a routable ladder answer of {!route_warm},
+    whichever used fewest colours. It never rises. Every width at or above
+    it is routable, and {!route_warm} answers and certifies it from the
+    stored colouring; every width below the clique bound is unroutable,
+    refuted by the clique. Between the two, only a cold solve can supply a
+    standalone refutation. *)
 
 val route_warm :
   ?budget:Fpgasat_sat.Solver.budget ->
@@ -61,36 +63,40 @@ val route_warm :
   t ->
   width:int ->
   Fpgasat_core.Flow.run
-(** Answers a width query on the warm ladder and assembles the
-    {!Fpgasat_core.Flow.run} through {!Fpgasat_core.Flow.finish}, the same
-    path cold answers take. Its solver statistics are this query's
-    {e delta} (cumulative counters snapshotted around the call);
+(** Answers a width query and assembles the {!Fpgasat_core.Flow.run}
+    through {!Fpgasat_core.Flow.finish}, the same path cold answers take.
     [timings.to_graph] and [timings.to_cnf] are 0 — the session already
-    paid them — and telemetry, when asked for, covers the query alone.
-    Two bands are answered from the stored bounds without touching the
-    solver or waiting for its lock, with zero solver statistics and zero
-    timings: widths below the clique bound are unroutable, and widths at
-    or above the DSATUR upper bound are routed by the stored greedy
-    colouring.
+    paid them. A width falls in one of three bands:
+    - below the clique bound, unroutable, from the stored clique;
+    - at or above {!fewest_colors}, routable, from the stored best
+      colouring;
+    - in between, the ladder band: a query on the warm ladder, run under
+      the session's lock.
 
-    With [certify] (default [false]) a routable answer is certified by the
-    same checks a cold one gets: {!Fpgasat_sat.Solver.check_model} of the
-    ladder's model against its selector-augmented CNF plus
-    {!Fpgasat_fpga.Detailed_route.verify}, or [verify] alone for the
-    stored colouring, which has no model. An answer below the clique bound
-    is certified by its clique, checked against the global route by
-    {!Fpgasat_fpga.Detailed_route.clique_refutes}. A ladder's unroutable
-    answer holds only under selector assumptions, so it is never certified
-    ([certified = Some false]); callers send certified widths in the gap,
-    from the clique bound to below {!fewest_colors}, to the cold pipeline
-    instead. Raises [Invalid_argument] when [width < 1], and
-    {!Fpgasat_core.Flow.Decode_mismatch} on a decode failure (isolated by
-    the server's worker pool). *)
+    The first two take no lock and run no solver, with zero solver
+    statistics and zero timings. A ladder answer's solver statistics are
+    this query's {e delta} (cumulative counters snapshotted around the
+    call), telemetry, when asked for, covers the query alone, and a
+    routable answer lowers {!fewest_colors} to the colours it used.
+
+    With [certify] (default [false]) the answer is certified from the
+    stored certificates: the best colouring by
+    {!Fpgasat_fpga.Detailed_route.verify} alone (it has no model), the
+    clique by {!Fpgasat_fpga.Detailed_route.clique_refutes} against the
+    global route. A ladder answer is not certified: its refutations hold
+    only under selector assumptions, so callers send certified widths in
+    the ladder band to the cold pipeline. Since {!fewest_colors} only
+    falls, a width seen outside that band stays outside it. Raises
+    [Invalid_argument] when [width < 1] or when [certify] is asked in the
+    ladder band, and {!Fpgasat_core.Flow.Decode_mismatch} on a decode
+    failure (isolated by the server's worker pool). *)
 
 val min_width :
   ?budget:Fpgasat_sat.Solver.budget -> t -> (int, string) result
-(** Minimal width by {!Fpgasat_core.Incremental_width.walk_down} on the
-    warm ladder — the walk {!Fpgasat_core.Incremental_width.minimal_colors}
-    runs, without re-encoding, and without a query below the clique bound
-    — lowering {!fewest_colors} to the result. The budget applies per
+(** Minimal width. When {!fewest_colors} has come down to the clique
+    bound, that is the answer, returned at once. Otherwise it is
+    {!Fpgasat_core.Incremental_width.walk_down} on the warm ladder — the
+    walk {!Fpgasat_core.Incremental_width.minimal_colors} runs, without
+    re-encoding, and without a query below the clique bound — whose
+    colouring becomes the session's best. The budget applies per
     query. *)

@@ -600,6 +600,49 @@ let test_forbidden_shape () =
       Alcotest.(check bool) "v1 loses colour 2" true (List.mem (v1, 2) forb)
   | _ -> Alcotest.fail "expected 2 vertices"
 
+(* The sequences as first defined: each comparison rebuilt both vertices'
+   (degree, neighbour-degree sum, -index) triples and compared them
+   polymorphically. [Sym.sequence] scores each vertex once and compares
+   ints, and must order every vertex the same way. *)
+let reference_sequence heuristic g ~k =
+  let degree_order vertices =
+    let score v = (G.Graph.degree g v, G.Graph.neighbor_degree_sum g v, -v) in
+    List.sort (fun a b -> compare (score b) (score a)) vertices
+  in
+  let rec take n = function
+    | [] -> []
+    | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest
+  in
+  let n = G.Graph.num_vertices g in
+  if n = 0 || k <= 1 then []
+  else
+    match heuristic with
+    | Sym.S1 -> take (k - 1) (degree_order (List.init n Fun.id))
+    | Sym.B1 ->
+        let first = G.Graph.max_degree_vertex g in
+        first :: take (k - 2) (degree_order (G.Graph.neighbors g first))
+
+(* Few vertices and many edges make ties in degree and in neighbour-degree
+   sum common, so the index tie-break is exercised too. *)
+let prop_sequence_matches_reference =
+  QCheck2.Test.make ~count:500 ~name:"sequence matches the reference order"
+    QCheck2.Gen.(
+      let* n = int_range 1 40 in
+      let* edges =
+        list_size (int_range 0 (3 * n))
+          (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
+      in
+      let* k = int_range 0 (n + 2) in
+      return (n, List.filter (fun (u, v) -> u <> v) edges, k))
+    (fun (n, edges, k) ->
+      let g = G.Graph.of_edges n edges in
+      List.for_all
+        (fun h ->
+          List.for_all
+            (fun k -> Sym.sequence h g ~k = reference_sequence h g ~k)
+            [ k; 2; 3; 7; n ])
+        Sym.all)
+
 (* --- end-to-end: encode, solve, decode, verify --- *)
 
 let brute_force_colorable g k =
@@ -888,7 +931,8 @@ let () =
           Alcotest.test_case "sequences distinct" `Quick
             test_sequences_distinct_and_short;
           Alcotest.test_case "forbidden pairs" `Quick test_forbidden_shape;
-        ] );
+        ]
+        @ qtests [ prop_sequence_matches_reference ] );
       ("agreement", qtests props_encodings_agree_with_brute_force);
       ( "defs-agreement",
         qtests (prop_defs_matches_flat_sat :: props_defs_agree_with_brute_force)

@@ -88,7 +88,22 @@ let test_json_parse_details () =
       {|"\u0_04"|};
       {|"\ud800\uZZZZ"|};
       {|{"id":"\uZZZZ"}|};
-    ]
+    ];
+  (* arrays and objects nest at most 64 levels, so a hostile line cannot
+     grow the parser's stack without bound *)
+  let nested depth =
+    String.concat ""
+      (List.init depth (fun i -> if i mod 2 = 0 then "[" else "{\"k\":"))
+    ^ "0"
+    ^ String.concat ""
+        (List.init depth (fun i ->
+             if (depth - 1 - i) mod 2 = 0 then "]" else "}"))
+  in
+  Alcotest.(check bool) "depth 64 parses" true
+    (Result.is_ok (Json.of_string (nested 64)));
+  Alcotest.(check bool) "depth 65 fails" true (is_error (nested 65));
+  Alcotest.(check bool) "1 MiB of [ fails" true
+    (is_error (String.make (1 lsl 20) '['))
 
 let json_gen =
   let open QCheck2.Gen in

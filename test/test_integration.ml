@@ -349,7 +349,7 @@ let test_exact_work_counters () =
   let verdicts =
     List.map
       (fun width ->
-        match fst (C.Incremental_width.query ladder ~width) with
+        match C.Incremental_width.query ladder ~width with
         | `Colorable _ -> "colourable"
         | `Uncolorable -> "uncolourable"
         | `Timeout | `Memout -> "undecided")

@@ -563,8 +563,9 @@ let test_budget_signature_distinguishes () =
   Alcotest.(check int) "four distinct budget signatures" 4
     (List.length distinct)
 
-(* Run records from real runs: warm from the ladder and from the stored
-   colouring, certified with telemetry, and a cold certified refutation. *)
+(* Run records from real runs: warm from the ladder with telemetry, from
+   the stored clique and, certified with telemetry, from the stored
+   colouring, and a cold certified refutation. *)
 let real_run_records =
   lazy
     (let strat = strategy "ITE-linear-2+muldirect/s1@siege" in
@@ -574,16 +575,16 @@ let real_run_records =
          C.Flow.(default_request |> with_strategy strat |> with_certify true)
          (Srv.Session.route session) ~width:5
      in
+     let ladder = Srv.Session.route_warm ~telemetry:true session ~width:6 in
+     let clique = Srv.Session.route_warm session ~width:5 in
+     let stored =
+       Srv.Session.route_warm ~certify:true ~telemetry:true session ~width:7
+     in
      List.map
        (fun run ->
          Eng.Run_record.to_json
            (Eng.Run_record.of_run ~benchmark:"alu2" ~wall_seconds:0.0123 run))
-       [
-         Srv.Session.route_warm session ~width:7;
-         Srv.Session.route_warm session ~width:5;
-         Srv.Session.route_warm ~certify:true ~telemetry:true session ~width:6;
-         cold;
-       ])
+       [ ladder; clique; stored; cold ])
 
 let qcheck_route_ok_line =
   let id_char =
@@ -688,29 +689,41 @@ let qcheck_structural_hash =
 
 (* ---------- warm ladder vs cold flow agreement ---------- *)
 
+let no_solver_work (run : C.Flow.run) =
+  run.C.Flow.solver_stats = Sat.Stats.create ()
+  && C.Flow.total run.C.Flow.timings = 0.
+
 let test_warm_agrees_with_cold () =
   let strat = strategy "direct@siege" in
-  let session = Srv.Session.create ~benchmark:"alu2" strat alu2 in
-  let lower, upper = Srv.Session.bounds session in
+  (* a fresh session per call: a routable ladder answer becomes the
+     session's best colouring, which would answer a second call at that
+     width on the same session without the ladder *)
+  let fresh () = Srv.Session.create ~benchmark:"alu2" strat alu2 in
+  let lower, upper = Srv.Session.bounds (fresh ()) in
   Alcotest.(check bool) "bounds sane" true (1 <= lower && lower <= upper);
   (* probe a band of widths around the transition *)
   let cnf_size =
     C.Incremental_width.(
       cnf_size (prepare ~strategy:strat alu2.F.Benchmarks.graph))
   in
-  (* widths >= upper take the greedy branch, widths below the clique the
-     clique branch, the rest the solver *)
+  (* widths >= upper take the DSATUR colouring, widths below the clique the
+     clique, the rest the solver *)
   let widths =
     List.filter (fun w -> w >= 1) [ upper + 1; upper; upper - 1; upper - 2 ]
   in
   Alcotest.(check bool) "every branch probed" true
     (List.exists (fun w -> w < lower) widths
     && List.exists (fun w -> lower <= w && w < upper) widths);
+  let banded = ref 0 in
   List.iter
     (fun w ->
       let ctx what = Printf.sprintf "width %d %s" w what in
+      let session = fresh () in
       let warm = Srv.Session.route_warm session ~width:w in
-      let metered = Srv.Session.route_warm ~telemetry:true session ~width:w in
+      let metered = Srv.Session.route_warm ~telemetry:true (fresh ()) ~width:w in
+      (* the same width again on the first session: once the ladder has
+         routed it, from the stored colouring *)
+      let again = Srv.Session.route_warm session ~width:w in
       let cold =
         C.Flow.(submit (default_request |> with_strategy strat))
           alu2.F.Benchmarks.route ~width:w
@@ -720,6 +733,8 @@ let test_warm_agrees_with_cold () =
         (name warm.C.Flow.outcome);
       Alcotest.(check string) (ctx "metered verdict") (name warm.C.Flow.outcome)
         (name metered.C.Flow.outcome);
+      Alcotest.(check string) (ctx "repeated verdict") (name warm.C.Flow.outcome)
+        (name again.C.Flow.outcome);
       Alcotest.(check bool) (ctx "telemetry only when asked") true
         (warm.C.Flow.telemetry = None && metered.C.Flow.telemetry <> None);
       List.iter
@@ -733,7 +748,7 @@ let test_warm_agrees_with_cold () =
           Alcotest.(check bool) (ctx "timings amortised") true
             (run.C.Flow.timings.C.Flow.to_graph = 0.
             && run.C.Flow.timings.C.Flow.to_cnf = 0.))
-        [ warm; metered ];
+        [ warm; metered; again ];
       (* between the clique and the greedy bound the ladder drives the
          solver through assumption selector levels; the max_decision_level
          watermark must count them even when no free decision happens (it
@@ -743,31 +758,46 @@ let test_warm_agrees_with_cold () =
       (match warm.C.Flow.outcome with
       | (C.Flow.Routable _ | C.Flow.Unroutable) when lower <= w && w < upper
         ->
-          Alcotest.(check bool)
-            (Printf.sprintf "width %d decision levels counted" w)
-            true
-            (warm.C.Flow.solver_stats.Sat.Stats.max_decision_level >= 1)
+          List.iter
+            (fun (run : C.Flow.run) ->
+              Alcotest.(check bool) (ctx "decision levels counted") true
+                (run.C.Flow.solver_stats.Sat.Stats.max_decision_level >= 1))
+            [ warm; metered ]
       | _ when w < lower ->
           List.iter
             (fun (run : C.Flow.run) ->
               Alcotest.(check bool) (ctx "no solver work") true
-                (run.C.Flow.solver_stats = Sat.Stats.create ()
-                && run.C.Flow.timings.C.Flow.solving = 0.))
-            [ warm; metered ]
+                (no_solver_work run))
+            [ warm; metered; again ]
       | _ -> ());
-      match warm.C.Flow.outcome with
-      | C.Flow.Routable d ->
-          (match
-             F.Detailed_route.verify alu2.F.Benchmarks.route ~width:w
-               d.F.Detailed_route.tracks
-           with
-          | Ok () -> ()
-          | Error v ->
-              Alcotest.fail
-                (Format.asprintf "warm routing invalid: %a"
-                   F.Detailed_route.pp_violation v))
-      | C.Flow.Unroutable | C.Flow.Timeout | C.Flow.Memout -> ())
-    widths
+      (* a ladder's routable answer lowers the session's fewest colours to
+         at most its width, and that width is then in the stored band *)
+      (match warm.C.Flow.outcome with
+      | C.Flow.Routable _ when w < upper ->
+          incr banded;
+          Alcotest.(check bool) (ctx "fewest colours lowered") true
+            (Srv.Session.fewest_colors session <= w);
+          Alcotest.(check bool) (ctx "repeat from the stored colouring") true
+            (no_solver_work again)
+      | _ -> ());
+      List.iter
+        (fun (run : C.Flow.run) ->
+          match run.C.Flow.outcome with
+          | C.Flow.Routable d -> (
+              match
+                F.Detailed_route.verify alu2.F.Benchmarks.route ~width:w
+                  d.F.Detailed_route.tracks
+              with
+              | Ok () -> ()
+              | Error v ->
+                  Alcotest.fail
+                    (Format.asprintf "%s: %a" (ctx "warm routing invalid")
+                       F.Detailed_route.pp_violation v))
+          | C.Flow.Unroutable | C.Flow.Timeout | C.Flow.Memout -> ())
+        [ warm; again ])
+    widths;
+  Alcotest.(check bool) "stored band below the DSATUR bound probed" true
+    (!banded >= 1)
 
 let test_warm_min_width_agrees_with_search () =
   let strat = strategy "direct@siege" in
@@ -1012,35 +1042,88 @@ let test_server_certified_warm_and_cold () =
       Alcotest.(check (option int)) "min_width" (Some 6) mw.P.min_width)
 
 (* The session side of the same boundaries: fewest_colors starts at the
-   DSATUR bound and falls with routable answers; a warm certified answer
-   at or above it carries a checked model, and a warm unroutable answer
-   below the clique (alu2's is 6) carries the clique, checked against the
-   global route. *)
+   DSATUR bound and falls with routable ladder answers. A certified width
+   at or above it is answered from the stored colouring, checked against
+   the architecture, and one below the clique (alu2's is 6) from the
+   clique, checked against the global route; neither runs the solver.
+   Between the two the ladder answers uncertified only. *)
 let test_session_fewest_colors () =
   let strat = strategy "ITE-linear-2+muldirect/s1@siege" in
   let session = Srv.Session.create ~benchmark:"alu2" strat alu2 in
   let _, upper = Srv.Session.bounds session in
   Alcotest.(check int) "starts at the DSATUR bound" upper
     (Srv.Session.fewest_colors session);
-  let run = Srv.Session.route_warm ~certify:true session ~width:6 in
+  Alcotest.check_raises "no certified ladder answer"
+    (Invalid_argument "Session.route_warm: certify in the ladder band")
+    (fun () -> ignore (Srv.Session.route_warm ~certify:true session ~width:6));
+  let run = Srv.Session.route_warm session ~width:6 in
   Alcotest.(check string) "w_min is routable" "routable"
     (C.Flow.outcome_name run.C.Flow.outcome);
-  Alcotest.(check (option bool)) "model and routing checked" (Some true)
+  Alcotest.(check (option bool)) "uncertified by default" None
     run.C.Flow.certified;
-  Alcotest.(check bool) "lowered by a warm routable answer" true
-    (Srv.Session.fewest_colors session <= 6);
+  Alcotest.(check int) "lowered by a ladder's routable answer" 6
+    (Srv.Session.fewest_colors session);
+  let stored = Srv.Session.route_warm ~certify:true session ~width:6 in
+  Alcotest.(check (option bool)) "stored colouring checked" (Some true)
+    stored.C.Flow.certified;
+  Alcotest.(check bool) "stored colouring: no solver work" true
+    (no_solver_work stored);
   let refuted = Srv.Session.route_warm ~certify:true session ~width:5 in
   Alcotest.(check string) "below w_min" "unroutable"
     (C.Flow.outcome_name refuted.C.Flow.outcome);
   Alcotest.(check (option bool)) "refuted by the clique, checked" (Some true)
     refuted.C.Flow.certified;
-  Alcotest.(check (option bool)) "uncertified by default" None
-    (Srv.Session.route_warm session ~width:6).C.Flow.certified;
   (* the clique answers every width below it, but a width below 1 is no
      question at all *)
   Alcotest.check_raises "width 0"
     (Invalid_argument "Session.route_warm: width < 1") (fun () ->
       ignore (Srv.Session.route_warm ~certify:true session ~width:0))
+
+(* min_width keeps the colouring its walk found, so every width from w_min
+   up is answered and certified from it, with no solver and no lock. alu2's
+   DSATUR bound is w_min + 1 and C880's w_min + 2, so w_min on both and
+   w_min + 1 on C880 are below the DSATUR colouring's reach. w_min is the
+   clique bound on both, so a second min_width is settled by the stored
+   colouring: a walk, interrupted at its first poll, would fail. *)
+let test_session_serves_from_best_coloring () =
+  List.iter
+    (fun bname ->
+      let session =
+        Srv.Session.create ~benchmark:bname
+          (strategy "ITE-linear-2+muldirect/s1")
+          (F.Benchmarks.build (Option.get (F.Benchmarks.find bname)))
+      in
+      let w_min =
+        match Srv.Session.min_width session with
+        | Ok w -> w
+        | Error m -> Alcotest.fail (bname ^ ": " ^ m)
+      in
+      Alcotest.(check int) (bname ^ ": fewest colours = w_min") w_min
+        (Srv.Session.fewest_colors session);
+      List.iter
+        (fun (width, certify) ->
+          let ctx what =
+            Printf.sprintf "%s width %d%s: %s" bname width
+              (if certify then " certified" else "")
+              what
+          in
+          let run = Srv.Session.route_warm ~certify session ~width in
+          Alcotest.(check string) (ctx "routable") "routable"
+            (C.Flow.outcome_name run.C.Flow.outcome);
+          Alcotest.(check bool) (ctx "no solver work") true
+            (no_solver_work run);
+          Alcotest.(check (option bool)) (ctx "certified")
+            (if certify then Some true else None)
+            run.C.Flow.certified)
+        [ (w_min, false); (w_min + 1, false); (w_min, true); (w_min + 1, true) ];
+      Alcotest.(check (result int string)) (bname ^ ": min_width again")
+        (Ok w_min)
+        (Srv.Session.min_width
+           ~budget:
+             Sat.Solver.(
+               with_poll_interval 1 (interruptible (fun () -> true) no_budget))
+           session))
+    [ "alu2"; "C880" ]
 
 let test_server_concurrent_clients () =
   with_server (fun _server socket ->
@@ -1760,6 +1843,8 @@ let () =
             `Slow test_warm_min_width_agrees_with_minimal_colors;
           Alcotest.test_case "fewest colours bound certified answers" `Slow
             test_session_fewest_colors;
+          Alcotest.test_case "serves from the best colouring" `Slow
+            test_session_serves_from_best_coloring;
         ] );
       ( "server",
         [
