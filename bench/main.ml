@@ -726,7 +726,7 @@ let section_baselines () =
      limit; DSATUR cells marked W=x needed more than w_min tracks)\n"
 
 (* ------------------------------------------------------------------ *)
-(* Extensions: multi-level hierarchies and preprocessing               *)
+(* Extensions: multi-level hierarchies                                 *)
 
 let section_extensions () =
   print_string
@@ -756,43 +756,6 @@ let section_extensions () =
   print_string
     (Report.render_table
        ~header:("Benchmark" :: List.map E.Encoding.name encodings)
-       rows);
-  print_string (Report.section "Extension: CNF preprocessing (Simplify)");
-  print_endline
-    "Does preprocessing close the gap between encodings? muldirect without\n\
-     symmetry breaking, UNSAT at w_min - 1, with and without Simplify.\n";
-  let rows =
-    List.map
-      (fun pb ->
-        let csp =
-          E.Csp.make pb.inst.F.Benchmarks.graph ~k:(pb.w_min - 1)
-        in
-        let encoded = E.Csp_encode.encode (encoding "muldirect") csp in
-        let cnf = encoded.E.Csp_encode.cnf in
-        let budget = Sat.Solver.time_budget !budget_seconds in
-        let t0 = Sys.time () in
-        let plain = fst (Sat.Solver.solve ~budget cnf) in
-        let t_plain = Sys.time () -. t0 in
-        let t0 = Sys.time () in
-        let pre, pre_stats, _ = Sat.Simplify.solve ~budget cnf in
-        let t_pre = Sys.time () -. t0 in
-        let tag = function
-          | Sat.Solver.Unsat -> ""
-          | Sat.Solver.Sat _ -> "?!"
-          | Sat.Solver.Unknown -> "T/O "
-          | Sat.Solver.Memout -> "M/O "
-        in
-        [
-          bench_name pb;
-          tag plain ^ Report.format_seconds t_plain;
-          tag pre ^ Report.format_seconds t_pre;
-          Format.asprintf "%a" Sat.Simplify.pp_stats pre_stats;
-        ])
-      benches
-  in
-  print_string
-    (Report.render_table
-       ~header:[ "Benchmark"; "plain"; "simplify+solve"; "preprocessing effect" ]
        rows);
   print_newline ()
 

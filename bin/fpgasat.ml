@@ -999,14 +999,20 @@ let route_file_cmd =
          & info [ "save-routes" ] ~docv:"FILE" ~doc:"Write the global routing used.")
   in
   let run nets_file routes_file save_routes width strat budget =
-    match F.Serial.read_netlist nets_file with
-    | exception F.Serial.Parse_error m -> `Error (false, m)
-    | arch, netlist -> (
-        let route =
+    let read path f =
+      match f path with
+      | v -> Ok v
+      | exception F.Serial.Parse_error m -> Error (Printf.sprintf "%s: %s" path m)
+    in
+    let route =
+      Result.bind (read nets_file F.Serial.read_netlist) (fun (arch, netlist) ->
           match routes_file with
-          | Some path -> F.Serial.read_routes ~netlist path
-          | None -> F.Global_router.route arch netlist
-        in
+          | Some path -> read path (F.Serial.read_routes ~netlist)
+          | None -> Ok (F.Global_router.route arch netlist))
+    in
+    match route with
+    | Error m -> `Error (false, m)
+    | Ok route -> (
         (match save_routes with
         | Some path ->
             F.Serial.write_routes path route;

@@ -82,7 +82,3 @@ let count_colorings ?max_nodes graph ~k =
   let n = G.Graph.num_vertices graph in
   with_manager ?max_nodes graph ~k (fun m bdd ->
       Bdd.sat_count m ~nvars:(n * k) bdd)
-
-let build_stats ?max_nodes graph ~k =
-  with_manager ?max_nodes graph ~k (fun m bdd ->
-      (Bdd.size m bdd, Bdd.live_nodes m))

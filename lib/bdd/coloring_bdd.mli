@@ -20,8 +20,3 @@ val count_colorings :
   ?max_nodes:int -> Fpgasat_graph.Graph.t -> k:int -> float option
 (** Number of proper [k]-colourings, [None] on node-limit. Exact up to
     float precision. *)
-
-val build_stats :
-  ?max_nodes:int -> Fpgasat_graph.Graph.t -> k:int -> (int * int) option
-(** [(final BDD size, total allocated nodes)] for the constraint BDD —
-    the measurements behind the BDD-vs-SAT bench. [None] on node-limit. *)

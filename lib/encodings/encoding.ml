@@ -25,7 +25,6 @@ let multi ?(emission = Flat) ~levels ~bottom () =
 
 let shape t = t.shape
 let emission t = t.emission
-let with_emission emission t = { t with emission }
 let flat t = { t with emission = Flat }
 let defs t = { t with emission = Definitional }
 let is_definitional t = t.emission = Definitional

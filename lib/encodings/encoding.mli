@@ -55,7 +55,6 @@ val multi :
 val shape : t -> shape
 val emission : t -> emission
 
-val with_emission : emission -> t -> t
 val flat : t -> t
 (** The same shape emitted flat (the paper's form). *)
 

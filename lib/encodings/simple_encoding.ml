@@ -81,8 +81,6 @@ let layout kind k =
   | Ite_linear -> tree_layout (Ite_tree.linear k)
   | Ite_log -> tree_layout (Ite_tree.balanced k)
 
-let slots_used kind k = (layout kind k).Layout.num_slots
-
 let values_reachable kind n =
   match kind with
   | Direct | Muldirect -> n

@@ -21,9 +21,6 @@ val kind_of_name : string -> kind option
 val layout : kind -> int -> Layout.t
 (** [layout kind k] encodes a domain of [k >= 1] values. *)
 
-val slots_used : kind -> int -> int
-(** Number of Boolean variables [layout kind k] uses. *)
-
 val values_reachable : kind -> int -> int
 (** [values_reachable kind n] is how many values (or subdomains) the kind
     can distinguish with a budget of [n] slots when used as the top level of

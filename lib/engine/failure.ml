@@ -10,14 +10,6 @@ let of_outcome = function
   | C.Flow.Timeout -> Some Timeout
   | C.Flow.Memout -> Some Memout
 
-let of_error (e : Pool.error) =
-  Crash
-    {
-      exn_class = e.Pool.exn_class;
-      message = e.Pool.message;
-      backtrace = e.Pool.backtrace;
-    }
-
 let of_exn ?backtrace e =
   Crash
     {
@@ -49,11 +41,6 @@ let transient = function Timeout | Memout -> true | Crash _ -> false
 (* A crash whose exception class is the pool's deliberate domain-kill
    channel: the request did not merely fail, it took a worker domain with
    it. The serving layer's poison-quarantine decisions key on this. *)
-let is_worker_death = function
-  | Crash { exn_class; _ } ->
-      String.equal exn_class Pool.Persistent.worker_killed_class
-  | Timeout | Memout -> false
-
 let error_is_worker_death (e : Pool.error) =
   String.equal e.Pool.exn_class Pool.Persistent.worker_killed_class
 

@@ -21,9 +21,6 @@ val of_outcome : Fpgasat_core.Flow.outcome -> t option
 (** [None] on decisive outcomes (routable/unroutable); the classification
     otherwise. *)
 
-val of_error : Pool.error -> t
-(** A pool-isolated thunk crash, as reported by {!Pool.map}. *)
-
 val of_exn : ?backtrace:string -> exn -> t
 (** Classify a caught exception directly. *)
 
@@ -42,14 +39,10 @@ val transient : t -> bool
     supervisor retries both but only escalates budgets for transient ones'
     sake. *)
 
-val is_worker_death : t -> bool
-(** [true] exactly when the crash's exception class is
+val error_is_worker_death : Pool.error -> bool
+(** [true] exactly when the error's exception class is
     {!Pool.Persistent.worker_killed_class} — the request killed its worker
     domain rather than merely raising. The server quarantines request
     identities that do this repeatedly. *)
-
-val error_is_worker_death : Pool.error -> bool
-(** The same test on a raw {!Pool.error}, for callers holding a ticket
-    result rather than a classified failure. *)
 
 val pp : Format.formatter -> t -> unit

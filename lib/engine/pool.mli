@@ -75,7 +75,7 @@ module Persistent : sig
   val worker_killed_class : string
   (** [Printexc.exn_slot_name Worker_killed] — the [exn_class] an
       {!error} carries when its worker died; what
-      {!Failure.is_worker_death} matches on. *)
+      {!Failure.error_is_worker_death} matches on. *)
 
   type 'a ticket
   (** A handle on one accepted submission's eventual result. *)

@@ -69,7 +69,6 @@ let cell_segments t (x, y) =
   ]
 
 let all_segments t = List.init (num_segments t) (segment_of_id t)
-let manhattan (x1, y1) (x2, y2) = abs (x1 - x2) + abs (y1 - y2)
 
 let pp_segment fmt s =
   Format.fprintf fmt "%c(%d,%d)"

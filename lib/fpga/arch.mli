@@ -52,5 +52,4 @@ val segments_touch : t -> segment -> segment -> bool
 (** Share a switch block. *)
 
 val all_segments : t -> segment list
-val manhattan : cell -> cell -> int
 val pp_segment : Format.formatter -> segment -> unit

@@ -8,6 +8,13 @@ let validate_path arch (subnet : Netlist.subnet) path =
   let touches_cell cell seg = List.mem seg (Arch.cell_segments arch cell) in
   match path with
   | [] -> Error (Printf.sprintf "subnet %d: empty path" subnet.Netlist.subnet_id)
+  | _
+    when not
+           (Arch.cell_in_bounds arch subnet.Netlist.from_cell
+           && Arch.cell_in_bounds arch subnet.Netlist.to_cell) ->
+      Error
+        (Printf.sprintf "subnet %d: endpoint outside the %dx%d grid"
+           subnet.Netlist.subnet_id (Arch.size arch) (Arch.size arch))
   | first :: _ ->
       let last = List.nth path (List.length path - 1) in
       if List.exists (fun s -> not (Arch.in_bounds arch s)) path then

@@ -24,6 +24,9 @@ let parse_cell lineno s =
   with Scanf.Scan_failure _ | Failure _ | End_of_file ->
     fail "line %d: malformed cell %S" lineno s
 
+(* Untrusted: routing allocates per channel segment, 2(n+1)n of them. *)
+let max_size = 64
+
 let parse_header lines =
   match lines with
   | [] -> fail "empty input"
@@ -31,6 +34,9 @@ let parse_header lines =
       match tokens first with
       | [ "fpga"; n ] -> (
           match int_of_string_opt n with
+          | Some n when n > max_size ->
+              fail "line %d: fpga size %d is more than the %d supported" lineno n
+                max_size
           | Some n when n >= 1 -> (Arch.create n, rest)
           | Some _ | None -> fail "line %d: bad fpga size" lineno)
       | _ -> fail "line %d: expected 'fpga <n>' header" lineno)
@@ -40,24 +46,30 @@ let numbered_lines s =
   |> List.mapi (fun i l -> (i + 1, String.trim l))
   |> List.filter (fun (_, l) -> l <> "" && l.[0] <> '#')
 
+(* Checks here everything [Netlist.make] would refuse, so that a bad file
+   is a [Parse_error] naming its line. *)
 let netlist_of_string s =
   let arch, rest = parse_header (numbered_lines s) in
+  let ids = Hashtbl.create 64 in
   let parse_net (lineno, line) =
     match tokens line with
     | "net" :: id :: source :: "->" :: sinks when sinks <> [] -> (
         match int_of_string_opt id with
         | None -> fail "line %d: bad net id" lineno
         | Some net_id ->
+            if Hashtbl.mem ids net_id then
+              fail "line %d: duplicate net id %d" lineno net_id;
+            Hashtbl.add ids net_id ();
             let check cell =
               if not (Arch.cell_in_bounds arch cell) then
                 fail "line %d: cell out of bounds" lineno
               else cell
             in
-            {
-              Netlist.net_id;
-              source = check (parse_cell lineno source);
-              sinks = List.map (fun s -> check (parse_cell lineno s)) sinks;
-            })
+            let source = check (parse_cell lineno source) in
+            let sinks = List.map (fun s -> check (parse_cell lineno s)) sinks in
+            if List.mem source sinks then
+              fail "line %d: net %d lists its source as a sink" lineno net_id;
+            { Netlist.net_id; source; sinks })
     | _ -> fail "line %d: expected 'net <id> (x,y) -> (x,y) ...'" lineno
   in
   (arch, Netlist.make (List.map parse_net rest))

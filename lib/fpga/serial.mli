@@ -19,6 +19,13 @@
     v} *)
 
 exception Parse_error of string
+(** Raised with a message naming the line on malformed input; malformed
+    input of any kind raises this and nothing else. *)
+
+val max_size : int
+(** The largest grid a header may declare (64; the bundled benchmarks go
+    up to 11). Routing allocates per channel segment, 2(n+1)n of them, so
+    a larger [fpga <n>] is a {!Parse_error}. *)
 
 val netlist_to_string : Arch.t -> Netlist.t -> string
 val netlist_of_string : string -> Arch.t * Netlist.t

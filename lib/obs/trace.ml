@@ -5,7 +5,6 @@ type kind =
   | Solve_end
   | Restart
   | Reduce_db
-  | Simplify_round
   | Memout_poll
   | Retry
   | Quarantine
@@ -16,7 +15,6 @@ let kind_name = function
   | Solve_end -> "solve_end"
   | Restart -> "restart"
   | Reduce_db -> "reduce_db"
-  | Simplify_round -> "simplify_round"
   | Memout_poll -> "memout_poll"
   | Retry -> "retry"
   | Quarantine -> "quarantine"
@@ -27,22 +25,20 @@ let kind_to_int = function
   | Solve_end -> 1
   | Restart -> 2
   | Reduce_db -> 3
-  | Simplify_round -> 4
-  | Memout_poll -> 5
-  | Retry -> 6
-  | Quarantine -> 7
-  | Inprocess -> 8
+  | Memout_poll -> 4
+  | Retry -> 5
+  | Quarantine -> 6
+  | Inprocess -> 7
 
 let kind_of_int = function
   | 0 -> Solve_begin
   | 1 -> Solve_end
   | 2 -> Restart
   | 3 -> Reduce_db
-  | 4 -> Simplify_round
-  | 5 -> Memout_poll
-  | 6 -> Retry
-  | 7 -> Quarantine
-  | 8 -> Inprocess
+  | 4 -> Memout_poll
+  | 5 -> Retry
+  | 6 -> Quarantine
+  | 7 -> Inprocess
   | n -> invalid_arg (Printf.sprintf "Trace.kind_of_int: %d" n)
 
 (* Parallel arrays, not an event-record array: floats stay unboxed in the
@@ -119,10 +115,7 @@ let sink t =
     | Restart n -> record t Restart n 0
     | Reduce_db (before, deleted) -> record t Reduce_db before deleted
     | Memout_poll words -> record t Memout_poll words 0
-    | Simplify_round n -> record t Simplify_round n 0
     | Inprocess (strengthened, removed) -> record t Inprocess strengthened removed
-
-let sink_opt = function None -> None | Some t -> Some (sink t)
 
 (* ---------- serialisation ---------- *)
 
@@ -160,7 +153,6 @@ let chrome_args e =
   match e.kind with
   | Restart -> [ ("count", Json.Int e.a) ]
   | Reduce_db -> [ ("learnts", Json.Int e.a); ("deleted", Json.Int e.b) ]
-  | Simplify_round -> [ ("round", Json.Int e.a) ]
   | Memout_poll -> [ ("heap_words", Json.Int e.a) ]
   | Retry -> [ ("attempt", Json.Int e.a) ]
   | Quarantine -> [ ("attempts", Json.Int e.a) ]

@@ -1,7 +1,7 @@
 (** A low-overhead in-memory ring buffer of timestamped solver events.
 
     One trace collects the lifecycle events of any number of solver runs:
-    restarts, learnt-database reductions, preprocessor rounds, memory polls
+    restarts, learnt-database reductions, memory polls, inprocessing passes
     ({!Fpgasat_sat.Event.t} via {!sink}), plus engine-level retry and
     quarantine marks and solve begin/end spans recorded directly. Recording
     is four array stores and an atomic fetch-and-add — no allocation — so a
@@ -23,7 +23,6 @@ type kind =
   | Solve_end  (** [a] = width, [b] = 1 if the outcome was decisive. *)
   | Restart  (** [a] = cumulative restart count. *)
   | Reduce_db  (** [a] = learnt clauses before, [b] = deleted. *)
-  | Simplify_round  (** [a] = 1-based round. *)
   | Memout_poll  (** [a] = major-heap words at the poll. *)
   | Retry  (** [a] = attempt number about to start (≥ 2). *)
   | Quarantine  (** [a] = attempts spent before giving up. *)
@@ -55,9 +54,6 @@ val record_opt : t option -> kind -> int -> int -> unit
 val sink : t -> Fpgasat_sat.Event.t -> unit
 (** The adapter for {!Fpgasat_sat.Solver.budget.on_event}: maps solver
     events onto {!record}. *)
-
-val sink_opt : t option -> (Fpgasat_sat.Event.t -> unit) option
-(** [sink] lifted to the optional hook field. *)
 
 val capacity : t -> int
 val total : t -> int

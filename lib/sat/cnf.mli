@@ -1,8 +1,8 @@
 (** CNF formulas on a packed literal arena.
 
     This is the builder the encoders write into and the store every
-    downstream consumer (solver, DPLL, WalkSAT, simplifier, DIMACS writer,
-    DRAT checker) reads from. Clauses live in one flat [int array] of
+    downstream consumer (solver, DPLL, WalkSAT, DIMACS writer, DRAT
+    checker) reads from. Clauses live in one flat [int array] of
     literals with an offsets index — not as boxed per-clause arrays — so
     whole-formula traversal, copy, and append are cache-friendly and
     allocation-free.

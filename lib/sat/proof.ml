@@ -43,6 +43,11 @@ let parse_line t line_no line =
             match int_of_string_opt tok with
             | None -> fail "bad literal %S" tok
             | Some 0 -> (acc, true)
+            (* not [abs d]: [abs min_int] is negative. The checker sizes its
+               per-literal arrays by the largest variable it meets. *)
+            | Some d when d < -Dimacs_cnf.max_vars || d > Dimacs_cnf.max_vars ->
+                fail "literal %d is beyond the %d variables supported" d
+                  Dimacs_cnf.max_vars
             | Some d -> (Lit.of_dimacs d :: acc, false))
           ([], false) body
       in

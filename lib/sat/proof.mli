@@ -33,7 +33,8 @@ exception Parse_error of string
 val parse : in_channel -> t
 (** Parse textual DRAT as written by {!output}: 0-terminated DIMACS
     literals, ["d"]-prefixed deletions, ["c"] comment lines and blank lines
-    ignored. Raises {!Parse_error} on malformed input. *)
+    ignored. Raises {!Parse_error} on malformed input, and on a literal
+    whose variable exceeds {!Dimacs_cnf.max_vars}. *)
 
 val parse_file : string -> t
 (** [parse_file path] — {!parse} applied to the file at [path]. *)

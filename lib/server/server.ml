@@ -123,15 +123,6 @@ let get_session server ~benchmark strategy =
 
 (* ---------- quarantine ---------- *)
 
-(* The structural-hash prefix of a session cache key — the identity the
-   poison table is keyed on. One CNF crashing workers under one width must
-   also quarantine it at other widths: the crash is in the content, not
-   the query. *)
-let structural_hash_of_key key =
-  match String.index_opt key '|' with
-  | Some i -> String.sub key 0 i
-  | None -> key
-
 let poison_count server hash =
   Mutex.lock server.poison_mutex;
   let n = Option.value (Hashtbl.find_opt server.poison hash) ~default:0 in
@@ -215,22 +206,25 @@ let render response = J.to_string (P.response_to_json response)
 
 (* ---------- width requests ---------- *)
 
-(* A width request's identity on its session: the answer-cache key, and
-   the structural hash that quarantine charges worker deaths to. *)
-type target = { session : Session.t; key : string; hash : string }
+(* A width request's identity on its session: the answer-cache key.
+   Quarantine charges worker deaths to the session's structural hash, not
+   to the key: one CNF crashing workers under one width must also be
+   quarantined at other widths, since the crash is in the content, not the
+   query. *)
+type target = { session : Session.t; key : string }
 
 let target (req : P.request) session ~width ~certify =
   let key =
     Session.cache_key session ~width ~budget_signature:(P.budget_signature req)
       ~certify
   in
-  { session; key; hash = structural_hash_of_key key }
+  { session; key }
 
 (* The checks every width request passes, in this order, before the cache
    or a solver sees it: quarantine refusal, the [kill_worker] test fault
    and deadline shedding. [Some line] is the request's answer. *)
 let screen server (req : P.request) target ~arrival ~kill_worker =
-  let deaths = poison_count server target.hash in
+  let deaths = poison_count server (Session.structural_hash target.session) in
   if deaths >= quarantine_threshold then begin
     Atomic.incr server.counters.quarantined;
     Some
@@ -274,7 +268,7 @@ let admit server (req : P.request) strategy ?known ~arrival ~suspect
   match found with
   | Error m -> render (P.response ?id:req.P.id ~message:m P.Failed)
   | Ok target -> (
-      suspect := Some target.hash;
+      suspect := Some (Session.structural_hash target.session);
       match screen server req target ~arrival ~kill_worker with
       | Some line -> line
       | None -> serve target)
@@ -283,7 +277,7 @@ let run_route server (req : P.request) strategy ?known ~arrival ~suspect
     ~kill_worker () =
   let t0 = Unix.gettimeofday () in
   admit server req strategy ?known ~arrival ~suspect ~kill_worker
-    ~width:req.P.width ~certify:req.P.certify (fun { session; key; _ } ->
+    ~width:req.P.width ~certify:req.P.certify (fun { session; key } ->
       (* A request the conn thread found in a live session has had its
          counted lookup; the look after the queue is for a twin request
          answered meanwhile. *)

@@ -10,6 +10,7 @@ type t = {
   ladder : C.Incremental_width.ladder;
   cnf_vars : int;
   cnf_clauses : int;
+  structural_hash : string;
   key_prefix : string;  (* "cnf-structural-hash|strategy|" of [cache_key] *)
   prepare_seconds : float;
   mutex : Mutex.t;
@@ -27,6 +28,9 @@ let create ~benchmark strategy (inst : F.Benchmarks.instance) =
     C.Incremental_width.bounds ladder
   in
   let cnf_vars, cnf_clauses = C.Incremental_width.cnf_size ladder in
+  let structural_hash =
+    Printf.sprintf "%Lx" (C.Incremental_width.cnf_hash ladder)
+  in
   {
     benchmark;
     strategy;
@@ -34,10 +38,9 @@ let create ~benchmark strategy (inst : F.Benchmarks.instance) =
     ladder;
     cnf_vars;
     cnf_clauses;
+    structural_hash;
     key_prefix =
-      Printf.sprintf "%Lx|%s|"
-        (C.Incremental_width.cnf_hash ladder)
-        (C.Strategy.name strategy);
+      Printf.sprintf "%s|%s|" structural_hash (C.Strategy.name strategy);
     prepare_seconds = Unix.gettimeofday () -. t0;
     mutex = Mutex.create ();
     best = Atomic.make (upper, coloring);
@@ -50,6 +53,7 @@ let bounds t =
   let b = C.Incremental_width.bounds t.ladder in
   C.Width_bounds.(b.lower, b.upper)
 let prepare_seconds t = t.prepare_seconds
+let structural_hash t = t.structural_hash
 
 let cache_key t ~width ~budget_signature ~certify =
   String.concat ""

@@ -39,6 +39,10 @@ val bounds : t -> int * int
 val prepare_seconds : t -> float
 (** Wall cost of {!create} — the amortised cold cost warm queries skip. *)
 
+val structural_hash : t -> string
+(** {!Fpgasat_sat.Cnf.structural_hash} of the session's encoded CNF, in
+    hex: the first field of every {!cache_key}. *)
+
 val cache_key :
   t -> width:int -> budget_signature:string -> certify:bool -> string
 (** The answer-cache identity of a width query on this session:

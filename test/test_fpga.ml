@@ -433,9 +433,17 @@ let test_routes_serialisation_roundtrip () =
   Alcotest.(check bool) "same paths" true
     (gr.F.Global_route.paths = gr'.F.Global_route.paths)
 
-let expect_serial_error f =
+(* [line] also checks that the message names the offending line. *)
+let expect_serial_error ?line f =
   match f () with
-  | exception F.Serial.Parse_error _ -> ()
+  | exception F.Serial.Parse_error m -> (
+      match line with
+      | None -> ()
+      | Some n ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S names line %d" m n)
+            true
+            (String.starts_with ~prefix:(Printf.sprintf "line %d: " n) m))
   | _ -> Alcotest.fail "malformed input accepted"
 
 let test_serialisation_errors () =
@@ -444,11 +452,96 @@ let test_serialisation_errors () =
   expect_serial_error (fun () -> F.Serial.netlist_of_string "fpga 4\nnet x (0,0) -> (1,1)");
   expect_serial_error (fun () -> F.Serial.netlist_of_string "fpga 4\nnet 0 (0,0) ->");
   expect_serial_error (fun () -> F.Serial.netlist_of_string "fpga 2\nnet 0 (0,0) -> (5,5)");
+  expect_serial_error ~line:3 (fun () ->
+      F.Serial.netlist_of_string
+        "fpga 4\nnet 0 (0,0) -> (1,1)\nnet 0 (2,2) -> (3,3)");
+  expect_serial_error ~line:2 (fun () ->
+      F.Serial.netlist_of_string "fpga 4\nnet 0 (1,1) -> (2,2) (1,1)");
+  let oversized = Printf.sprintf "fpga %d\n" (F.Serial.max_size + 1) in
+  expect_serial_error ~line:1 (fun () -> F.Serial.netlist_of_string oversized);
+  expect_serial_error ~line:1 (fun () ->
+      F.Serial.routes_of_string ~netlist:small_netlist oversized);
+  let arch, _ =
+    F.Serial.netlist_of_string
+      (Printf.sprintf "fpga %d\nnet 0 (0,0) -> (1,1)" F.Serial.max_size)
+  in
+  Alcotest.(check int) "largest grid kept" F.Serial.max_size (Arch.size arch);
   expect_serial_error (fun () ->
       F.Serial.routes_of_string ~netlist:small_netlist "fpga 4\nsubnet 0 : Q(1,1)");
   expect_serial_error (fun () ->
       (* missing subnets *)
-      F.Serial.routes_of_string ~netlist:small_netlist "fpga 4\nsubnet 0 : V(0,0)")
+      F.Serial.routes_of_string ~netlist:small_netlist "fpga 4\nsubnet 0 : V(0,0)");
+  expect_serial_error (fun () ->
+      (* a grid smaller than the netlist's: every segment is in bounds, but
+         the subnets' cells are not *)
+      F.Serial.routes_of_string ~netlist:small_netlist
+        (String.concat ""
+           ("fpga 1\n"
+           :: List.init (Netlist.num_subnets small_netlist) (fun i ->
+                  Printf.sprintf "subnet %d : V(0,0)\n" i))))
+
+(* route-file reads both files from the user: a bad one is reported with its
+   name and cmdliner's error status (124), never as an uncaught exception
+   (125). *)
+let test_route_file_cli_errors () =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/fpgasat.exe"
+  in
+  let files = ref [] in
+  let temp suffix =
+    let path = Filename.temp_file "fpgasat" suffix in
+    files := path :: !files;
+    path
+  in
+  let write suffix text =
+    let path = temp suffix in
+    Out_channel.with_open_text path (fun oc -> output_string oc text);
+    path
+  in
+  let run args =
+    let err = temp ".err" in
+    let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+    let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    let pid =
+      Unix.create_process exe
+        (Array.of_list ("fpgasat" :: "route-file" :: "-w" :: "2" :: args))
+        Unix.stdin null fd
+    in
+    Unix.close fd;
+    Unix.close null;
+    let _, status = Unix.waitpid [] pid in
+    (status, String.trim (In_channel.with_open_text err In_channel.input_all))
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove !files)
+    (fun () ->
+      let good = write ".nets" "fpga 4\nnet 0 (1,1) -> (2,2)\n" in
+      let duplicate =
+        write ".nets" "fpga 4\nnet 0 (1,1) -> (2,2)\nnet 0 (0,0) -> (3,3)\n"
+      in
+      let source_sink = write ".nets" "fpga 4\nnet 0 (1,1) -> (1,1)\n" in
+      let routes = write ".routes" "garbage\n" in
+      List.iter
+        (fun (args, file, reason) ->
+          let status, message = run args in
+          Alcotest.(check bool)
+            (Printf.sprintf "exit 124 (stderr: %s)" message)
+            true
+            (status = Unix.WEXITED 124);
+          Alcotest.(check string) "message"
+            (Printf.sprintf "fpgasat: %s: %s" file reason)
+            message)
+        [
+          ([ "--nets"; duplicate ], duplicate, "line 3: duplicate net id 0");
+          ( [ "--nets"; source_sink ],
+            source_sink,
+            "line 2: net 0 lists its source as a sink" );
+          ( [ "--nets"; good; "--routes"; routes ],
+            routes,
+            "line 1: expected 'fpga <n>' header" );
+        ];
+      let status, _ = run [ "--nets"; good ] in
+      Alcotest.(check bool) "a good netlist routes" true (status = Unix.WEXITED 0))
 
 let test_serialisation_files () =
   let gr = F.Global_router.route arch4 small_netlist in
@@ -610,6 +703,113 @@ let prop_random_routes_valid =
       let g = F.Conflict_graph.build gr in
       G.Graph.num_vertices g = Netlist.num_subnets nl)
 
+(* --- readers of outside bytes --- *)
+
+(* The CLI reads netlists, routings, DIMACS CNF and graphs, and DRAT proofs
+   from users' files. On any input each reader returns a value or raises its
+   own [Parse_error], nothing else: a property fails on any other exception.
+   Each reader gets token soup (its own keywords, sizes at and past the
+   caps, integers at the edges of [int]) and a valid file with one byte
+   replaced. *)
+
+let token_soup tokens =
+  QCheck2.Gen.(
+    map (String.concat "") (list_size (int_range 0 24) (oneofl tokens)))
+
+(* The new byte is any byte, or half the time one of the file's own, which
+   turns ids, coordinates and sizes into one another. *)
+let one_byte_replaced text =
+  let pos = QCheck2.Gen.int_bound (String.length text - 1) in
+  QCheck2.Gen.(
+    map2
+      (fun pos c ->
+        let b = Bytes.of_string text in
+        Bytes.set b pos c;
+        Bytes.to_string b)
+      pos
+      (oneof [ char; map (String.get text) pos ]))
+
+let int_edges =
+  [ "0"; "-1"; "4611686018427387903"; "-4611686018427387904";
+    "99999999999999999999" ]
+
+let readers =
+  let small_routes =
+    F.Serial.routes_to_string (F.Global_router.route arch4 small_netlist)
+  in
+  let module Sat = Fpgasat_sat in
+  [
+    ( "Dimacs_cnf.parse_string",
+      (fun s ->
+        try ignore (Sat.Dimacs_cnf.parse_string s)
+        with Sat.Dimacs_cnf.Parse_error _ -> ()),
+      [ "p"; "cnf"; "p cnf 3 2"; "c"; "1"; "3"; "-4"; "4194304"; "4194305"; "x";
+        "+2"; " "; "\t"; "\n"; "\r" ],
+      "p cnf 3 4\n1 -2 0\n2 3 0\n-1 -3 0\n3 0\n" );
+    ( "Dimacs_col.parse_string",
+      (fun s ->
+        try ignore (G.Dimacs_col.parse_string s)
+        with G.Dimacs_col.Parse_error _ -> ()),
+      (* not 2^22 itself: that header is accepted and sizes the graph *)
+      [ "p"; "edge"; "edges"; "p edge 4 2"; "e"; "c"; "1"; "2"; "4"; "4194305";
+        "x"; " "; "\t"; "\n" ],
+      "p edge 4 3\ne 1 2\ne 2 3\ne 3 4\n" );
+    ( "Proof.parse",
+      (fun s ->
+        let path = Filename.temp_file "fpgasat" ".drat" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            Out_channel.with_open_bin path (fun oc -> output_string oc s);
+            try ignore (In_channel.with_open_bin path Sat.Proof.parse)
+            with Sat.Proof.Parse_error _ -> ())),
+      [ "d"; "c"; "1"; "-2"; "3"; "4194304"; "4194305"; "-4194305"; "x"; " ";
+        "\t"; "\n"; "\r" ],
+      "1 2 0\nd 1 2 0\n-3 0\n0\n" );
+    ( "Serial.netlist_of_string",
+      (fun s ->
+        try ignore (F.Serial.netlist_of_string s)
+        with F.Serial.Parse_error _ -> ()),
+      [ "fpga"; "net"; "->"; "(0,0)"; "(1,2)"; "(3,3)"; "(9,9)"; "(-1,0)";
+        "(1,"; ")"; "1"; "4"; "64"; "65"; "#"; " "; "\n" ],
+      F.Serial.netlist_to_string arch4 small_netlist );
+    ( "Serial.routes_of_string",
+      (fun s ->
+        try ignore (F.Serial.routes_of_string ~netlist:small_netlist s)
+        with F.Serial.Parse_error _ -> ()),
+      [ "fpga"; "subnet"; ":"; "1"; "2"; "3"; "4"; "65"; "V(0,0)"; "H(1,2)";
+        "V(4,3)"; "H(-1,0)"; "V("; "Q(1,1)"; "V"; "#"; " "; "\n" ],
+      small_routes );
+  ]
+
+let readers_never_raise =
+  List.concat_map
+    (fun (name, read, tokens, valid) ->
+      let prop what gen =
+        QCheck2.Test.make ~count:1000
+          ~name:(Printf.sprintf "%s never raises on %s" name what)
+          gen
+          (fun s ->
+            read s;
+            true)
+      in
+      [
+        prop "token soup" (token_soup (tokens @ int_edges));
+        prop "a valid file with one byte replaced" (one_byte_replaced valid);
+      ])
+    readers
+
+(* A fixed default seed keeps failures reproducible; QCHECK_SEED overrides
+   it. *)
+let seeded_qtests =
+  let seed =
+    match Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt with
+    | Some s -> s
+    | None -> 20080307
+  in
+  List.map (fun t ->
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |]) t)
+
 let qtests = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -680,7 +880,10 @@ let () =
             test_routes_serialisation_roundtrip;
           Alcotest.test_case "errors" `Quick test_serialisation_errors;
           Alcotest.test_case "file io" `Quick test_serialisation_files;
+          Alcotest.test_case "route-file refuses bad files" `Quick
+            test_route_file_cli_errors;
         ] );
+      ("outside bytes", seeded_qtests readers_never_raise);
       ( "render",
         [
           Alcotest.test_case "congestion map" `Quick test_render_congestion_map;

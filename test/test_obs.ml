@@ -78,7 +78,7 @@ let test_trace_concurrent_recording () =
     List.init 4 (fun d ->
         Domain.spawn (fun () ->
             for i = 1 to 100 do
-              Trace.record t Trace.Simplify_round ((d * 1000) + i) 0
+              Trace.record t Trace.Inprocess ((d * 1000) + i) 0
             done))
   in
   List.iter Domain.join domains;
@@ -142,7 +142,7 @@ let test_sink_maps_solver_events () =
   sink (Sat.Event.Restart 3);
   sink (Sat.Event.Reduce_db (200, 80));
   sink (Sat.Event.Memout_poll 12345);
-  sink (Sat.Event.Simplify_round 2);
+  sink (Sat.Event.Inprocess (5, 7));
   let kinds = List.map (fun e -> (e.Trace.kind, e.Trace.a, e.Trace.b)) (Trace.events t) in
   Alcotest.(check bool) "mapping" true
     (kinds
@@ -150,7 +150,7 @@ let test_sink_maps_solver_events () =
         (Trace.Restart, 3, 0);
         (Trace.Reduce_db, 200, 80);
         (Trace.Memout_poll, 12345, 0);
-        (Trace.Simplify_round, 2, 0);
+        (Trace.Inprocess, 5, 7);
       ])
 
 let json_mem key = function

@@ -1,13 +1,12 @@
-(* Tests for the SAT extras: the DRAT forward checker, the CNF
-   preprocessor, and WalkSAT — each cross-checked against the CDCL solver
-   and brute force on random formulas. *)
+(* Tests for the SAT extras: the DRAT forward checker and WalkSAT — each
+   cross-checked against the CDCL solver and brute force on random
+   formulas. *)
 
 module Lit = Fpgasat_sat.Lit
 module Cnf = Fpgasat_sat.Cnf
 module Solver = Fpgasat_sat.Solver
 module Proof = Fpgasat_sat.Proof
 module Drat = Fpgasat_sat.Drat_check
-module Simplify = Fpgasat_sat.Simplify
 module Walksat = Fpgasat_sat.Walksat
 
 let cnf_of nvars clauses =
@@ -373,6 +372,32 @@ let test_proof_parse_roundtrip () =
       Alcotest.(check bool) "steps survive the round trip" true
         (Proof.steps parsed = Proof.steps proof))
 
+(* The checker sizes its per-literal arrays by the largest variable it
+   meets, so a literal past the DIMACS cap is a parse error naming its
+   line, not gigabytes of arrays (or a negative index from [min_int]). *)
+let test_proof_parse_literal_cap () =
+  let path = Filename.temp_file "fpgasat" ".drat" in
+  let parse text =
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    Proof.parse_file path
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let cap = Fpgasat_sat.Dimacs_cnf.max_vars in
+      List.iter
+        (fun d ->
+          match parse (Printf.sprintf "1 0\n%d 0\n" d) with
+          | exception Proof.Parse_error m ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%S names line 2" m)
+                true
+                (String.starts_with ~prefix:"line 2: " m)
+          | _ -> Alcotest.failf "literal %d accepted" d)
+        [ cap + 1; -(cap + 1); 100_000_000; 2_000_000_000; max_int; min_int ];
+      Alcotest.(check int) "literals at the cap accepted" 1
+        (Proof.num_steps (parse (Printf.sprintf "%d %d 0\n" cap (-cap)))))
+
 (* --- Solver.restart_limit_of_config --- *)
 
 let test_restart_limit_clamps () =
@@ -390,74 +415,6 @@ let test_restart_limit_clamps () =
     Alcotest.(check bool) "monotone and positive" true (l >= !prev && l > 0);
     prev := l
   done
-
-(* --- Simplify --- *)
-
-let test_simplify_units () =
-  let cnf = cnf_of 3 [ [ 1 ]; [ -1; 2 ]; [ -2; 3 ] ] in
-  let r = Simplify.simplify cnf in
-  Alcotest.(check bool) "not unsat" false r.Simplify.unsat;
-  Alcotest.(check int) "all clauses gone" 0 (Cnf.num_clauses r.Simplify.cnf);
-  Alcotest.(check (list (pair int bool)))
-    "forced chain"
-    [ (0, true); (1, true); (2, true) ]
-    r.Simplify.forced
-
-let test_simplify_detects_unsat () =
-  let cnf = cnf_of 2 [ [ 1 ]; [ -1; 2 ]; [ -2 ] ] in
-  let r = Simplify.simplify cnf in
-  Alcotest.(check bool) "unsat found" true r.Simplify.unsat
-
-let test_simplify_pure_literals () =
-  let cnf = cnf_of 3 [ [ 1; 2 ]; [ 1; 3 ] ] in
-  let r = Simplify.simplify cnf in
-  Alcotest.(check bool) "pure 1 satisfies all" true
-    (Cnf.num_clauses r.Simplify.cnf = 0);
-  Alcotest.(check bool) "recorded as forced" true
-    (List.mem (0, true) r.Simplify.forced)
-
-let test_simplify_subsumption () =
-  let cnf = cnf_of 3 [ [ 1; 2 ]; [ 1; 2; 3 ] ] in
-  let r = Simplify.simplify cnf in
-  Alcotest.(check bool) "subsumed or fewer clauses" true
-    (Cnf.num_clauses r.Simplify.cnf <= 1)
-
-let test_simplify_self_subsumption () =
-  (* (1 | 2) and (-1 | 2 | 3): self-subsumption strengthens the second to
-     (2 | 3) *)
-  let cnf = cnf_of 3 [ [ 1; 2 ]; [ -1; 2; 3 ] ] in
-  let r = Simplify.simplify cnf in
-  Alcotest.(check bool) "strengthened" true (r.Simplify.stats.Simplify.strengthened >= 1)
-
-let prop_simplify_preserves_answer =
-  QCheck2.Test.make ~count:500 ~name:"preprocessing preserves satisfiability"
-    gen_random_cnf (fun input ->
-      let cnf = build input in
-      let expected = brute_force cnf in
-      let result, _, _ = Simplify.solve cnf in
-      match result with
-      | Solver.Sat model -> expected && Solver.check_model cnf model
-      | Solver.Unsat -> not expected
-      | Solver.Unknown | Solver.Memout -> false)
-
-let prop_simplify_models_extend =
-  QCheck2.Test.make ~count:500 ~name:"extended models satisfy the original"
-    gen_random_cnf (fun input ->
-      let cnf = build input in
-      let r = Simplify.simplify cnf in
-      if r.Simplify.unsat then not (brute_force cnf)
-      else
-        match Solver.solve r.Simplify.cnf with
-        | Solver.Sat m, _ -> Solver.check_model cnf (Simplify.extend_model r m)
-        | Solver.Unsat, _ -> not (brute_force cnf)
-        | (Solver.Unknown | Solver.Memout), _ -> false)
-
-let prop_simplify_never_grows =
-  QCheck2.Test.make ~count:300 ~name:"preprocessing never adds clauses"
-    gen_random_cnf (fun input ->
-      let cnf = build input in
-      let r = Simplify.simplify cnf in
-      r.Simplify.unsat || Cnf.num_clauses r.Simplify.cnf <= Cnf.num_clauses cnf)
 
 (* --- incremental solving with assumptions --- *)
 
@@ -634,6 +591,8 @@ let () =
         :: Alcotest.test_case "is_rat" `Quick test_is_rat
         :: Alcotest.test_case "proof parse round trip" `Quick
              test_proof_parse_roundtrip
+        :: Alcotest.test_case "proof parse caps literals" `Quick
+             test_proof_parse_literal_cap
         :: Alcotest.test_case "refuses the CI must-fail files" `Quick
              test_drat_refuses_ci_must_fail_files
         :: qtests
@@ -647,18 +606,6 @@ let () =
       ( "restart-limit",
         [ Alcotest.test_case "geometric clamps to max_int" `Quick
             test_restart_limit_clamps ] );
-      ( "simplify",
-        Alcotest.test_case "unit chain" `Quick test_simplify_units
-        :: Alcotest.test_case "detects unsat" `Quick test_simplify_detects_unsat
-        :: Alcotest.test_case "pure literals" `Quick test_simplify_pure_literals
-        :: Alcotest.test_case "subsumption" `Quick test_simplify_subsumption
-        :: Alcotest.test_case "self-subsumption" `Quick test_simplify_self_subsumption
-        :: qtests
-             [
-               prop_simplify_preserves_answer;
-               prop_simplify_models_extend;
-               prop_simplify_never_grows;
-             ] );
       ( "assumptions",
         Alcotest.test_case "assumption levels raise max_level" `Quick
           test_assumption_levels_raise_max_level
