@@ -19,10 +19,6 @@
                 sweep (CDCL vs DPLL vs exact colouring, certified) across
                 every registry encoding
 
-   --bechamel adds micro-benchmarks (one Bechamel Test.make per
-   table/figure): clause emission, tree construction, translation-to-CNF
-   throughput, and a full solve of a satisfiable instance.
-
    Timed cells are bounded by --budget seconds (default 30): a cell that
    exceeds it is reported as "T/O" and enters the totals at the budget
    value, making total speedups lower bounds, as in common practice.
@@ -63,10 +59,8 @@ module Run_record = Eng.Run_record
 let budget_seconds = ref 30.
 let sections = ref
     "table1,figure1,table2,routable,solvers,portfolio,ablations,baselines,extensions,incremental,channel,certify"
-let with_bechamel = ref false
 let encode_bench_only = ref false
 let jobs = ref 1
-let emission = ref "flat"
 let out_file = ref ""
 let resume = ref false
 let certify = ref false
@@ -84,8 +78,8 @@ let scaling_strategies = ref "ITE-linear-2+muldirect/s1,muldirect/s1"
 
 let usage =
   "main.exe [--budget SEC] [--sections a,b,c] [--jobs N] [--out FILE.jsonl] \
-   [--resume] [--certify] [--chaos] [--chaos-seed N] [--bechamel] \
-   [--encode-bench] [--bench-out FILE.json] [--baseline FILE.json] \
+   [--resume] [--certify] [--chaos] [--chaos-seed N] [--encode-bench] \
+   [--bench-out FILE.json] [--baseline FILE.json] \
    [--perf-handicap N] [--scaling] [--scaling-grid smoke|full] \
    [--scaling-out FILE.json] [--scaling-handicap N] [--scaling-strategies LIST]"
 
@@ -96,11 +90,6 @@ let arg_spec =
       Arg.Set_string sections,
       "LIST comma-separated sections (default: all paper sections)" );
     ("--jobs", Arg.Set_int jobs, "N worker domains for the matrix sections (default 1)");
-    ( "--emission",
-      Arg.Set_string emission,
-      "MODE flat, defs or both — clause emission mode(s) for the Table 2 \
-       columns (default flat; 'both' doubles the matrix to compare \
-       definitional against flat emission)" );
     ( "--out",
       Arg.Set_string out_file,
       "FILE stream completed cells of the matrix sections as JSON lines" );
@@ -116,7 +105,6 @@ let arg_spec =
     ( "--chaos-seed",
       Arg.Set_int chaos_seed,
       "N seed of the deterministic chaos plan (default 2008)" );
-    ("--bechamel", Arg.Set with_bechamel, " also run the Bechamel micro-benchmarks");
     ( "--encode-bench",
       Arg.Set encode_bench_only,
       " print encode+load throughput JSON for the largest configuration and exit" );
@@ -357,18 +345,6 @@ let table2_columns =
         "muldirect-3+muldirect"; "direct-3+muldirect";
       ]
 
-(* --emission expands the Table 2 matrix: 'defs' swaps every column to its
-   definitional (+defs) variant, 'both' appends the +defs variants after the
-   flat ones so the two emission modes face the same instances. *)
-let table2_emission_columns () =
-  let defs_col (e, s) = (E.Encoding.defs e, s) in
-  match String.lowercase_ascii !emission with
-  | "flat" -> table2_columns
-  | "defs" -> List.map defs_col table2_columns
-  | "both" -> table2_columns @ List.map defs_col table2_columns
-  | other ->
-      failwith (Printf.sprintf "--emission: expected flat, defs or both, got %S" other)
-
 let column_header (enc, sym) =
   Printf.sprintf "%s/%s" (E.Encoding.name enc)
     (Format.asprintf "%a" E.Symmetry.pp_option sym)
@@ -386,8 +362,7 @@ let section_table2 () =
      totals at the budget, so speedups under T/O are lower bounds).\n\n"
     !budget_seconds;
   let benches = Lazy.force prepared in
-  let columns = table2_emission_columns () in
-  let cols = List.map strategy_of_column columns in
+  let cols = List.map strategy_of_column table2_columns in
   let records =
     run_sweep
       (List.concat_map
@@ -435,7 +410,7 @@ let section_table2 () =
     :: List.mapi
          (fun i _ ->
            (if any_timeout.(i) then ">=" else "") ^ Report.format_seconds totals.(i))
-         columns
+         table2_columns
   in
   let base = totals.(0) in
   let speedup_row =
@@ -445,11 +420,11 @@ let section_table2 () =
            let s = base /. totals.(i) in
            (if any_timeout.(0) && not any_timeout.(i) then ">=" else "")
            ^ Report.format_speedup s)
-         columns
+         table2_columns
   in
   print_string
     (Report.render_table
-       ~header:("Benchmark" :: List.map column_header columns)
+       ~header:("Benchmark" :: List.map column_header table2_columns)
        (rows @ [ total_row; speedup_row ]));
   print_newline ()
 
@@ -644,18 +619,18 @@ let section_ablations () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Baselines: SAT vs exact CSP search vs BDD vs DSATUR vs WalkSAT      *)
+(* Baselines: SAT vs exact CSP search vs DSATUR                        *)
 
 let section_baselines () =
   print_string
     (Report.section
-       "Baselines: SAT flow vs exact CSP search vs BDD vs greedy (Sect. 1 context)");
+       "Baselines: SAT flow vs exact CSP search vs greedy (Sect. 1 context)");
   print_endline
     "UNSAT columns (width = w_min - 1): the SAT flow vs DSATUR-ordered\n\
-     branch-and-bound (node budget 100k) vs the BDD-era approach (node limit\n\
-     1M). SAT column = ITE-linear-2+muldirect/s1. DSATUR and WalkSAT appear\n\
-     in the routable columns (width = w_min); neither can prove\n\
-     unroutability — the contrast the paper draws.\n";
+     branch-and-bound (node budget 100k). SAT column =\n\
+     ITE-linear-2+muldirect/s1. DSATUR appears in the routable columns\n\
+     (width = w_min); it cannot prove unroutability — the contrast the\n\
+     paper draws.\n";
   let benches = Lazy.force prepared in
   let rows =
     List.map
@@ -676,13 +651,6 @@ let section_baselines () =
               | G.Exact_coloring.Colorable _ -> "?!"
               | G.Exact_coloring.Exhausted -> "give-up ")
         in
-        let bdd_tag, bdd_t =
-          time (fun () ->
-              match Fpgasat_bdd.Coloring_bdd.k_colorable ~max_nodes:1_000_000 graph ~k:(w - 1) with
-              | Fpgasat_bdd.Coloring_bdd.Uncolorable -> ""
-              | Fpgasat_bdd.Coloring_bdd.Colorable _ -> "?!"
-              | Fpgasat_bdd.Coloring_bdd.Node_limit -> "blow-up ")
-        in
         (* routable side *)
         let sat_routable = cell_text (run_cell ~width_delta:0 pb Strategy.best_single) in
         let dsatur_tag, dsatur_t =
@@ -690,40 +658,23 @@ let section_baselines () =
               let c = G.Greedy.dsatur graph in
               if G.Coloring.num_colors c <= w then "" else Printf.sprintf "W=%d " (G.Coloring.num_colors c))
         in
-        let walksat_tag, walksat_t =
-          time (fun () ->
-              let csp = E.Csp.make graph ~k:w in
-              let encoded = E.Csp_encode.encode (encoding "muldirect") csp in
-              let params =
-                { Sat.Walksat.default_params with Sat.Walksat.max_tries = 5;
-                  max_flips = 100_000 }
-              in
-              match Sat.Walksat.solve ~params encoded.E.Csp_encode.cnf with
-              | Sat.Walksat.Sat _, _ -> ""
-              | Sat.Walksat.Unknown, _ -> "give-up ")
-        in
         [
           bench_name pb;
           sat_cell;
           bnb_tag ^ Report.format_seconds bnb_t;
-          bdd_tag ^ Report.format_seconds bdd_t;
           sat_routable;
           dsatur_tag ^ Report.format_seconds dsatur_t;
-          walksat_tag ^ Report.format_seconds walksat_t;
         ])
       benches
   in
   print_string
     (Report.render_table
        ~header:
-         [
-           "Benchmark"; "SAT unsat"; "B&B unsat"; "BDD unsat"; "SAT route";
-           "DSATUR route"; "WalkSAT route";
-         ]
+         [ "Benchmark"; "SAT unsat"; "B&B unsat"; "SAT route"; "DSATUR route" ]
        rows);
   print_endline
-    "('give-up' = budget exhausted without an answer; 'blow-up' = BDD node\n\
-     limit; DSATUR cells marked W=x needed more than w_min tracks)\n"
+    "('give-up' = budget exhausted without an answer; DSATUR cells marked\n\
+     W=x needed more than w_min tracks)\n"
 
 (* ------------------------------------------------------------------ *)
 (* Extensions: multi-level hierarchies                                 *)
@@ -852,71 +803,6 @@ let section_channel () =
       ]
   in
   print_string (Report.render_table ~header:("Channel" :: encodings) rows);
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let alu2 = F.Benchmarks.build (Option.get (F.Benchmarks.find "alu2")) in
-  let graph = alu2.F.Benchmarks.graph in
-  let k = alu2.F.Benchmarks.max_congestion in
-  let encode_test name enc_name =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           let csp = E.Csp.make graph ~k in
-           ignore (E.Csp_encode.encode (encoding enc_name) csp)))
-  in
-  [
-    Test.make ~name:"table1/clause-emission"
-      (Staged.stage (fun () ->
-           let g = G.Graph.of_edges 2 [ (0, 1) ] in
-           let csp = E.Csp.make g ~k:3 in
-           List.iter
-             (fun e -> ignore (E.Csp_encode.encode (encoding e) csp))
-             [ "log"; "direct"; "muldirect" ]));
-    Test.make ~name:"figure1/tree-construction"
-      (Staged.stage (fun () ->
-           ignore (E.Ite_tree.linear 13);
-           ignore (E.Ite_tree.balanced 13);
-           ignore (E.Encoding.layout (encoding "ITE-log-2+ITE-linear") 13)));
-    encode_test "table2/to-cnf/muldirect" "muldirect";
-    encode_test "table2/to-cnf/ITE-linear-2+muldirect" "ITE-linear-2+muldirect";
-    Test.make ~name:"routable/full-solve"
-      (Staged.stage (fun () ->
-           let csp = E.Csp.make graph ~k:(k + 1) in
-           let encoded =
-             E.Csp_encode.encode (encoding "ITE-linear-2+muldirect") csp
-           in
-           ignore (Sat.Solver.solve encoded.E.Csp_encode.cnf)));
-  ]
-
-let section_bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  print_string (Report.section "Bechamel micro-benchmarks");
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-  let grouped = Test.make_grouped ~name:"fpgasat" (bechamel_tests ()) in
-  let raw = Benchmark.all cfg instances grouped in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols_result acc ->
-        let ns =
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Printf.sprintf "%.0f" est
-          | Some _ | None -> "n/a"
-        in
-        [ name; ns ] :: acc)
-      results []
-    |> List.sort compare
-  in
-  print_string (Report.render_table ~header:[ "micro-benchmark"; "ns/run" ] rows);
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
@@ -1266,41 +1152,6 @@ let measure_encode () =
     em_words_alloc = int_of_float ((bytes1 -. bytes0) /. 8.);
   }
 
-(* Flat-vs-definitional comparison on the same vda instance: one real encode
-   per (encoding, emission) pair plus the closed-form conflict literals per
-   edge — the number the +defs layer drives down to 2 per shared pattern. *)
-let emission_comparison () =
-  let spec = Option.get (F.Benchmarks.find "vda") in
-  let inst = F.Benchmarks.build spec in
-  let graph = inst.F.Benchmarks.graph in
-  let k = inst.F.Benchmarks.max_congestion in
-  let csp = E.Csp.make graph ~k in
-  let side enc =
-    let encoded = E.Csp_encode.encode enc csp in
-    let cnf = encoded.E.Csp_encode.cnf in
-    let stats = E.Encoding_stats.predict enc ~k in
-    Obs.Json.Obj
-      [
-        ("vars", Obs.Json.Int (Sat.Cnf.num_vars cnf));
-        ("clauses", Obs.Json.Int (Sat.Cnf.num_clauses cnf));
-        ("lits", Obs.Json.Int (Sat.Cnf.num_lits cnf));
-        ( "conflict_lits_per_edge",
-          Obs.Json.Int stats.E.Encoding_stats.conflict_literals_per_edge );
-        ( "aux_vars_per_csp_var",
-          Obs.Json.Int stats.E.Encoding_stats.aux_vars_per_csp_var );
-      ]
-  in
-  List.map
-    (fun name ->
-      let enc = encoding name in
-      Obs.Json.Obj
-        [
-          ("encoding", Obs.Json.String name);
-          ("flat", side (E.Encoding.flat enc));
-          ("defs", side (E.Encoding.defs enc));
-        ])
-    [ "log"; "direct"; "muldirect"; "ITE-linear-2+muldirect"; "direct-3+muldirect" ]
-
 let section_encode_bench () =
   let m = measure_encode () in
   print_endline
@@ -1313,7 +1164,6 @@ let section_encode_bench () =
             ("encode_s", Obs.Json.Float m.em_encode_s);
             ("load_s", Obs.Json.Float m.em_load_s);
             ("words_alloc", Obs.Json.Int m.em_words_alloc);
-            ("emissions", Obs.Json.List (emission_comparison ()));
           ]))
 
 (* ------------------------------------------------------------------ *)
@@ -1590,12 +1440,6 @@ let section_scaling () =
 
 let () =
   Arg.parse arg_spec (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) usage;
-  (match String.lowercase_ascii !emission with
-  | "flat" | "defs" | "both" -> ()
-  | other ->
-      prerr_endline
-        (Printf.sprintf "--emission: expected flat, defs or both, got %S" other);
-      exit 2);
   if !encode_bench_only then begin
     section_encode_bench ();
     exit 0
@@ -1635,5 +1479,4 @@ let () =
   if section_enabled "channel" then section_channel ();
   if section_enabled "certify" then section_certify ();
   if !chaos then section_chaos ();
-  if !with_bechamel then section_bechamel ();
   Printf.printf "total harness wall time: %.1fs\n" (Unix.gettimeofday () -. t0)

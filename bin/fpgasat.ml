@@ -15,7 +15,6 @@ module G = Fpgasat_graph
 module E = Fpgasat_encodings
 module F = Fpgasat_fpga
 module C = Fpgasat_core
-module Bdd = Fpgasat_bdd
 module Eng = Fpgasat_engine
 module Obs = Fpgasat_obs
 module Srv = Fpgasat_server
@@ -55,8 +54,18 @@ let benchmark_pos =
   Arg.(required & pos 0 (some benchmark_conv) None
        & info [] ~docv:"BENCHMARK" ~doc:"Benchmark name (see $(b,list)).")
 
+(* Widths and colour counts: 0 or less is a usage error (exit 124), not an
+   [Invalid_argument] from deep inside the flow. *)
+let positive_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 1 -> Error (`Msg (Printf.sprintf "%d is not positive" n))
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let width_arg =
-  Arg.(required & opt (some int) None
+  Arg.(required & opt (some positive_int) None
        & info [ "w"; "width" ] ~docv:"W" ~doc:"Tracks per channel.")
 
 let strategy_arg =
@@ -85,11 +94,9 @@ let list_cmd =
           spec.F.Benchmarks.grid spec.F.Benchmarks.grid spec.F.Benchmarks.nets
           spec.F.Benchmarks.seed)
       F.Benchmarks.specs;
-    print_endline "\nEncodings (append +defs for definitional emission):";
+    print_endline "\nEncodings:";
     List.iter
-      (fun e ->
-        Printf.printf "  %-30s %s\n" (E.Encoding.name e)
-          (E.Encoding.name (E.Encoding.defs e)))
+      (fun e -> Printf.printf "  %s\n" (E.Encoding.name e))
       E.Registry.all;
     print_endline "\nSymmetry-breaking heuristics: b1, s1";
     print_endline "Solver presets: siege, minisat"
@@ -1101,7 +1108,7 @@ let color_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.col")
   in
   let k_arg =
-    Arg.(required & opt (some int) None
+    Arg.(required & opt (some positive_int) None
          & info [ "k" ] ~docv:"K" ~doc:"Number of colours.")
   in
   let enc =
@@ -1114,10 +1121,9 @@ let color_cmd =
   in
   let method_arg =
     Arg.(value
-         & opt (enum [ ("sat", `Sat); ("exact", `Exact); ("bdd", `Bdd);
-                       ("walksat", `Walksat) ]) `Sat
+         & opt (enum [ ("sat", `Sat); ("exact", `Exact) ]) `Sat
          & info [ "method" ] ~docv:"M"
-             ~doc:"sat (encode + CDCL), exact (branch and bound), bdd, or walksat.")
+             ~doc:"sat (encode + CDCL) or exact (branch and bound).")
   in
   let run file k enc sym budget method_ =
     match G.Dimacs_col.parse_file file with
@@ -1128,51 +1134,30 @@ let color_cmd =
           Printf.printf "COLORABLE with %d colours\n" k;
           Array.iteri (fun v c -> Printf.printf "  %d -> %d\n" v c) coloring
         in
-        let sat_based use_walksat =
-          let symmetry =
-            Option.map
-              (fun s ->
-                match E.Symmetry.of_name s with
-                | Some h -> h
-                | None -> failwith (Printf.sprintf "unknown heuristic %S" s))
-              sym
-          in
-          let csp = E.Csp.make graph ~k in
-          let encoded = E.Csp_encode.encode ?symmetry enc csp in
-          if use_walksat then
-            match Sat.Walksat.solve encoded.E.Csp_encode.cnf with
-            | Sat.Walksat.Sat model, flips ->
-                print_coloring (E.Csp_encode.decode encoded model);
-                Printf.printf "(%d flips)\n" flips
-            | Sat.Walksat.Unknown, _ ->
-                print_endline "UNKNOWN (local search found no model)"
-          else
-            let result, _ =
-              Sat.Solver.solve ~budget:(budget_of budget) encoded.E.Csp_encode.cnf
-            in
-            match result with
-            | Sat.Solver.Sat model -> print_coloring (E.Csp_encode.decode encoded model)
-            | Sat.Solver.Unsat -> Printf.printf "NOT %d-colourable\n" k
-            | Sat.Solver.Unknown -> print_endline "UNKNOWN (budget exhausted)"
-            | Sat.Solver.Memout -> print_endline "UNKNOWN (memory budget exhausted)"
-        in
         (match method_ with
         | `Exact -> (
             match G.Exact_coloring.k_colorable graph ~k with
             | G.Exact_coloring.Colorable c -> print_coloring c
             | G.Exact_coloring.Uncolorable -> Printf.printf "NOT %d-colourable\n" k
             | G.Exact_coloring.Exhausted -> print_endline "UNKNOWN (node budget)")
-        | `Bdd -> (
-            match Bdd.Coloring_bdd.k_colorable graph ~k with
-            | Bdd.Coloring_bdd.Colorable c ->
-                print_coloring c;
-                (match Bdd.Coloring_bdd.count_colorings graph ~k with
-                | Some count -> Printf.printf "proper colourings: %.0f\n" count
-                | None -> ())
-            | Bdd.Coloring_bdd.Uncolorable -> Printf.printf "NOT %d-colourable\n" k
-            | Bdd.Coloring_bdd.Node_limit -> print_endline "UNKNOWN (BDD node limit)")
-        | `Sat -> sat_based false
-        | `Walksat -> sat_based true);
+        | `Sat -> (
+            let symmetry =
+              Option.map
+                (fun s ->
+                  match E.Symmetry.of_name s with
+                  | Some h -> h
+                  | None -> failwith (Printf.sprintf "unknown heuristic %S" s))
+                sym
+            in
+            let csp = E.Csp.make graph ~k in
+            let encoded = E.Csp_encode.encode ?symmetry enc csp in
+            match
+              fst (Sat.Solver.solve ~budget:(budget_of budget) encoded.E.Csp_encode.cnf)
+            with
+            | Sat.Solver.Sat model -> print_coloring (E.Csp_encode.decode encoded model)
+            | Sat.Solver.Unsat -> Printf.printf "NOT %d-colourable\n" k
+            | Sat.Solver.Unknown -> print_endline "UNKNOWN (budget exhausted)"
+            | Sat.Solver.Memout -> print_endline "UNKNOWN (memory budget exhausted)"));
         `Ok ()
   in
   Cmd.v

@@ -14,10 +14,8 @@ type ladder = {
 
 (* The encoded problem plus one selector per colour: assuming it switches
    the colour off. The formula starts as a flat arena copy of the encoded
-   CNF (a blit, not a clause-by-clause rebuild). Under definitional
-   emission the encoder's (vertex, colour) definitions are already in the
-   copied arena, so the selector clauses stay binary (~sel_c | ~d_v,c)
-   instead of re-expanding the indexing pattern. *)
+   CNF (a blit, not a clause-by-clause rebuild); each selector clause
+   (~sel_c | ~pattern(v, c)) expands the indexing pattern. *)
 let augment encoded ~upper =
   let cnf = Sat.Cnf.copy encoded.E.Csp_encode.cnf in
   let selectors = Array.init upper (fun _ -> Sat.Cnf.fresh_var cnf) in
@@ -25,12 +23,9 @@ let augment encoded ~upper =
     for c = 0 to upper - 1 do
       Sat.Cnf.start_clause cnf;
       Sat.Cnf.push_lit cnf (Sat.Lit.neg_of selectors.(c));
-      (match E.Csp_encode.definition encoded v c with
-      | Some d -> Sat.Cnf.push_lit cnf (Sat.Lit.negate d)
-      | None ->
-          List.iter
-            (fun l -> Sat.Cnf.push_lit cnf (Sat.Lit.negate l))
-            (E.Csp_encode.pattern_lits encoded v c));
+      List.iter
+        (fun l -> Sat.Cnf.push_lit cnf (Sat.Lit.negate l))
+        (E.Csp_encode.pattern_lits encoded v c);
       Sat.Cnf.commit_clause cnf
     done
   done;

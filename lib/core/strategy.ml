@@ -16,8 +16,6 @@ let make ?symmetry ?(solver = `Siege_like) encoding =
   let solver, solver_name = solver_of solver in
   { encoding; symmetry; solver; solver_name }
 
-let with_defs t = { t with encoding = E.Encoding.defs t.encoding }
-
 let name t =
   Printf.sprintf "%s/%s@%s"
     (E.Encoding.name t.encoding)

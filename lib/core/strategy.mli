@@ -19,18 +19,13 @@ val make :
 (** Default solver: [`Siege_like] — the paper found siege_v4 at least 2×
     faster on the (hard) unsatisfiable instances. *)
 
-val with_defs : t -> t
-(** The same strategy with the encoding switched to definitional ([+defs])
-    emission. *)
-
 val name : t -> string
-(** E.g. ["ITE-linear-2+muldirect/s1@siege"]; definitional-emission
-    strategies read ["ITE-linear-2+muldirect+defs/s1@siege"]. *)
+(** E.g. ["ITE-linear-2+muldirect/s1@siege"]. *)
 
 val of_name : string -> (t, string) result
-(** Parses ["<encoding>[/<sym>][@<solver>]"] where [<encoding>] may carry
-    the [+defs] emission suffix, [<sym>] is [b1], [s1] or [none] and
-    [<solver>] is [siege] or [minisat]. *)
+(** Parses ["<encoding>[/<sym>][@<solver>]"] where [<encoding>] is a
+    registry name ({!Fpgasat_encodings.Registry.of_name}), [<sym>] is
+    [b1], [s1] or [none] and [<solver>] is [siege] or [minisat]. *)
 
 val best_single : t
 (** The paper's winner: ITE-linear-2+muldirect with s1. *)

@@ -7,7 +7,6 @@ type t = {
   layout : Layout.t;
   cnf : Sat.Cnf.t;
   symmetry : Symmetry.heuristic option;
-  emit : Emit.t option;
 }
 
 let boolean_var t v s = (v * t.layout.Layout.num_slots) + s
@@ -36,32 +35,17 @@ let rec push_negated t v = function
       Sat.Cnf.push_lit t.cnf (Sat.Lit.make (boolean_var t v s) (not pol));
       push_negated t v rest
 
-(* Definitional emission: the literal standing for "variable [v] selects
-   [value]" — the pattern's definition for len >= 2 (eagerly created, so
-   always cached), the single pattern literal for len = 1, none for the
-   empty pattern (a k=1 layout, whose conflict is the empty clause). *)
-let selection_lit t ctx v value =
-  match t.layout.Layout.patterns.(value) with
-  | [] -> None
-  | [ (s, pol) ] -> Some (Sat.Lit.make (boolean_var t v s) pol)
-  | pattern -> Some (Emit.conj ctx Emit.Neg (lits_of_pattern t v pattern))
-
 (* The CNF's final (literals, clauses): Encoding_stats' totals plus one
    clause per forbidden (vertex, colour) pair, which holds the colour's
-   negated pattern under flat emission and its negated selection literal
-   (none for the empty pattern) under definitional emission. *)
-let size layout emission csp forbidden =
-  let stats = Encoding_stats.of_layout ~emission layout in
+   negated pattern. *)
+let size layout csp forbidden =
+  let stats = Encoding_stats.of_layout layout in
   let num_vertices = Csp.num_variables csp in
   let num_edges = G.Graph.num_edges csp.Csp.graph in
-  let symmetry_literal_count (_, colour) =
-    let len = List.length layout.Layout.patterns.(colour) in
-    match emission with
-    | Encoding.Flat -> len
-    | Encoding.Definitional -> min len 1
-  in
   let symmetry_literals =
-    List.fold_left (fun acc p -> acc + symmetry_literal_count p) 0 forbidden
+    List.fold_left
+      (fun acc (_, colour) -> acc + List.length layout.Layout.patterns.(colour))
+      0 forbidden
   in
   ( Encoding_stats.total_literals stats ~num_vertices ~num_edges
     + symmetry_literals,
@@ -76,20 +60,10 @@ let encode ?symmetry encoding csp =
     | None -> []
     | Some h -> Symmetry.forbidden h csp.Csp.graph ~k:csp.Csp.k
   in
-  let cnf =
-    Sat.Cnf.create
-      ~capacity:(size layout (Encoding.emission encoding) csp forbidden)
-      ()
-  in
+  let cnf = Sat.Cnf.create ~capacity:(size layout csp forbidden) () in
   Sat.Cnf.ensure_vars cnf (n * layout.Layout.num_slots);
-  let emit =
-    match Encoding.emission encoding with
-    | Encoding.Flat -> None
-    | Encoding.Definitional -> Some (Emit.create cnf)
-  in
-  let t = { encoding; csp; layout; cnf; symmetry; emit } in
-  (* per-variable side clauses (always flat: they range over slot
-     literals, not indexing patterns) *)
+  let t = { encoding; csp; layout; cnf; symmetry } in
+  (* per-variable side clauses *)
   for v = 0 to n - 1 do
     List.iter
       (fun clause ->
@@ -98,67 +72,25 @@ let encode ?symmetry encoding csp =
         Sat.Cnf.commit_clause cnf)
       layout.Layout.side
   done;
-  (* definitional mode: define every (variable, value) pattern up front —
-     one negative-polarity definition each, shared by all the conflict,
-     symmetry and selector clauses that mention it — so CNF size is
-     independent of how often a pattern recurs (and exactly predictable
-     by Encoding_stats) *)
-  (match emit with
-  | None -> ()
-  | Some ctx ->
-      for v = 0 to n - 1 do
-        for value = 0 to csp.Csp.k - 1 do
-          match layout.Layout.patterns.(value) with
-          | [] | [ _ ] -> ()
-          | pattern -> ignore (Emit.conj ctx Emit.Neg (lits_of_pattern t v pattern))
-        done
-      done);
   (* conflict clauses: one per edge per common domain value *)
   G.Graph.iter_edges
     (fun u v ->
       for value = 0 to csp.Csp.k - 1 do
-        match emit with
-        | None ->
-            let p = layout.Layout.patterns.(value) in
-            Sat.Cnf.start_clause cnf;
-            push_negated t u p;
-            push_negated t v p;
-            Sat.Cnf.commit_clause cnf
-        | Some ctx -> (
-            match (selection_lit t ctx u value, selection_lit t ctx v value) with
-            | Some du, Some dv ->
-                Sat.Cnf.start_clause cnf;
-                Sat.Cnf.push_lit cnf (Sat.Lit.negate du);
-                Sat.Cnf.push_lit cnf (Sat.Lit.negate dv);
-                Sat.Cnf.commit_clause cnf
-            | _ ->
-                (* empty pattern: the value is always selected, so the
-                   conflict is the empty clause — same as flat emission *)
-                Sat.Cnf.start_clause cnf;
-                Sat.Cnf.commit_clause cnf)
+        let p = layout.Layout.patterns.(value) in
+        Sat.Cnf.start_clause cnf;
+        push_negated t u p;
+        push_negated t v p;
+        Sat.Cnf.commit_clause cnf
       done)
     t.csp.Csp.graph;
   (* symmetry-breaking clauses *)
   List.iter
     (fun (v, colour) ->
       Sat.Cnf.start_clause cnf;
-      (match emit with
-      | None -> push_negated t v layout.Layout.patterns.(colour)
-      | Some ctx -> (
-          match selection_lit t ctx v colour with
-          | Some d -> Sat.Cnf.push_lit cnf (Sat.Lit.negate d)
-          | None -> ()));
+      push_negated t v layout.Layout.patterns.(colour);
       Sat.Cnf.commit_clause cnf)
     forbidden;
   t
-
-let definition t v value =
-  match t.emit with
-  | None -> None
-  | Some ctx -> (
-      match t.layout.Layout.patterns.(value) with
-      | [] | [ _ ] -> None
-      | pattern -> Emit.find ctx Emit.Neg (lits_of_pattern t v pattern))
 
 exception No_selected_value of int
 

@@ -12,30 +12,13 @@ type t = private {
   layout : Layout.t;  (** Shared by all CSP variables (same domain size). *)
   cnf : Fpgasat_sat.Cnf.t;
   symmetry : Symmetry.heuristic option;
-  emit : Emit.t option;
-      (** The definitional emission context, present iff the encoding's
-          mode is {!Encoding.Definitional}. *)
 }
 
 val encode : ?symmetry:Symmetry.heuristic -> Encoding.t -> Csp.t -> t
 (** Builds the full CNF: per-variable side clauses, conflict clauses for
     every edge and every common value, and symmetry clauses when requested.
-
-    Under {!Encoding.Flat} emission, conflict and symmetry clauses expand
-    both indexing patterns verbatim (the paper's emission). Under
-    {!Encoding.Definitional}, every (vertex, value) pattern of two or more
-    literals is first bound to a negative-polarity {!Emit} definition —
-    shared by all its uses — so conflict clauses become binary
-    [(~d_u | ~d_v)] and symmetry clauses unit. Both emissions are
-    equisatisfiable and decode identically: models restricted to the slot
-    variables coincide. *)
-
-val definition : t -> int -> int -> Fpgasat_sat.Lit.t option
-(** [definition t v value] is the definitional literal standing for
-    "variable [v] selects [value]" when one exists — definitional emission
-    and a pattern of length at least 2. Downstream emitters (e.g. the
-    incremental-width selector clauses) use it to stay binary instead of
-    re-expanding the pattern. *)
+    Conflict and symmetry clauses expand the indexing patterns verbatim
+    (the paper's flat emission). *)
 
 val boolean_var : t -> int -> int -> Fpgasat_sat.Lit.var
 (** [boolean_var t v s] is the Boolean variable behind slot [s] of CSP

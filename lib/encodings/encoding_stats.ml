@@ -1,83 +1,42 @@
 type t = {
   vars_per_csp_var : int;
-  aux_vars_per_csp_var : int;
   side_clauses_per_csp_var : int;
   side_literals_per_csp_var : int;
-  def_clauses_per_csp_var : int;
-  def_literals_per_csp_var : int;
   conflict_clauses_per_edge : int;
   conflict_literals_per_edge : int;
 }
 
-let of_layout ?(emission = Encoding.Flat) (layout : Layout.t) =
+let of_layout (layout : Layout.t) =
   let side_literals =
     List.fold_left (fun acc clause -> acc + List.length clause) 0 layout.Layout.side
   in
-  let pattern_len p = List.length p in
-  let defined =
-    (* patterns of >= 2 literals get one auxiliary variable each; empty and
-       singleton patterns are inlined by the encoder *)
+  let conflict_literals =
     Array.fold_left
-      (fun acc p -> if pattern_len p >= 2 then acc + 1 else acc)
+      (fun acc pattern -> acc + (2 * List.length pattern))
       0 layout.Layout.patterns
-  in
-  let aux, def_clauses, def_literals, conflict_literals =
-    match emission with
-    | Encoding.Flat ->
-        let conflict_literals =
-          Array.fold_left
-            (fun acc pattern -> acc + (2 * pattern_len pattern))
-            0 layout.Layout.patterns
-        in
-        (0, 0, 0, conflict_literals)
-    | Encoding.Definitional ->
-        (* one negative-polarity definition clause (~l1|...|~ln|d) per
-           defined pattern; each conflict clause is binary except for the
-           empty pattern's, which stays empty *)
-        let def_literals =
-          Array.fold_left
-            (fun acc p ->
-              let len = pattern_len p in
-              if len >= 2 then acc + len + 1 else acc)
-            0 layout.Layout.patterns
-        in
-        let conflict_literals =
-          Array.fold_left
-            (fun acc p -> if pattern_len p = 0 then acc else acc + 2)
-            0 layout.Layout.patterns
-        in
-        (defined, defined, def_literals, conflict_literals)
   in
   {
     vars_per_csp_var = layout.Layout.num_slots;
-    aux_vars_per_csp_var = aux;
     side_clauses_per_csp_var = List.length layout.Layout.side;
     side_literals_per_csp_var = side_literals;
-    def_clauses_per_csp_var = def_clauses;
-    def_literals_per_csp_var = def_literals;
     conflict_clauses_per_edge = layout.Layout.num_values;
     conflict_literals_per_edge = conflict_literals;
   }
 
-let predict encoding ~k =
-  of_layout ~emission:(Encoding.emission encoding) (Encoding.layout encoding k)
-
-let total_vars t ~num_vertices =
-  num_vertices * (t.vars_per_csp_var + t.aux_vars_per_csp_var)
+let predict encoding ~k = of_layout (Encoding.layout encoding k)
+let total_vars t ~num_vertices = num_vertices * t.vars_per_csp_var
 
 let total_clauses t ~num_vertices ~num_edges =
-  (num_vertices * (t.side_clauses_per_csp_var + t.def_clauses_per_csp_var))
+  (num_vertices * t.side_clauses_per_csp_var)
   + (num_edges * t.conflict_clauses_per_edge)
 
 let total_literals t ~num_vertices ~num_edges =
-  (num_vertices * (t.side_literals_per_csp_var + t.def_literals_per_csp_var))
+  (num_vertices * t.side_literals_per_csp_var)
   + (num_edges * t.conflict_literals_per_edge)
 
 let pp fmt t =
   Format.fprintf fmt
-    "vars/v=%d aux/v=%d side-clauses/v=%d side-lits/v=%d def-clauses/v=%d \
-     def-lits/v=%d conflict-clauses/e=%d conflict-lits/e=%d"
-    t.vars_per_csp_var t.aux_vars_per_csp_var t.side_clauses_per_csp_var
-    t.side_literals_per_csp_var t.def_clauses_per_csp_var
-    t.def_literals_per_csp_var t.conflict_clauses_per_edge
-    t.conflict_literals_per_edge
+    "vars/v=%d side-clauses/v=%d side-lits/v=%d conflict-clauses/e=%d \
+     conflict-lits/e=%d"
+    t.vars_per_csp_var t.side_clauses_per_csp_var t.side_literals_per_csp_var
+    t.conflict_clauses_per_edge t.conflict_literals_per_edge

@@ -1,36 +1,23 @@
 (** Closed-form size predictions for encoded CSPs.
 
-    For every encoding (in either emission mode) this module predicts,
-    without building the CNF, how many Boolean variables — slot and
-    definitional auxiliary — side clauses, definition clauses and conflict
-    clauses (with their literal counts) the translation of a colouring CSP
-    will produce. The predictions match the encoder {e exactly} (validated
-    against {!Csp_encode.encode} in the test suite, which pins down the
-    encoder's behaviour) and power the encoding explorer's size tables
-    without paying for the construction. *)
+    For every encoding this module predicts, without building the CNF, how
+    many Boolean variables, side clauses and conflict clauses (with their
+    literal counts) the translation of a colouring CSP will produce. The
+    predictions match the encoder {e exactly} (validated against
+    {!Csp_encode.encode} in the test suite, which pins down the encoder's
+    behaviour) and power the encoding explorer's size tables without
+    paying for the construction. *)
 
 type t = {
   vars_per_csp_var : int;  (** Slot variables: the layout's [num_slots]. *)
-  aux_vars_per_csp_var : int;
-      (** Definitional auxiliary variables: one per indexing pattern of
-          length at least 2; [0] under flat emission. *)
   side_clauses_per_csp_var : int;
   side_literals_per_csp_var : int;
-  def_clauses_per_csp_var : int;
-      (** Negative-polarity definition clauses, one per auxiliary
-          variable; [0] under flat emission. *)
-  def_literals_per_csp_var : int;
-      (** Sum over defined patterns of (length + 1). *)
   conflict_clauses_per_edge : int;  (** Always the domain size [k]. *)
   conflict_literals_per_edge : int;
-      (** Flat: sum over values of twice the pattern length. Definitional:
-          2 per value (empty patterns contribute 0 — their conflict is the
-          empty clause in both modes). *)
+      (** Sum over values of twice the pattern length. *)
 }
 
-val of_layout : ?emission:Encoding.emission -> Layout.t -> t
-(** Default emission: {!Encoding.Flat}. *)
-
+val of_layout : Layout.t -> t
 val predict : Encoding.t -> k:int -> t
 
 val total_vars : t -> num_vertices:int -> int

@@ -3,13 +3,11 @@
     {!Encoding} names the 15 encodings (2 previously used, direct, and the
     12 new ones), each compiled to a {!Layout} of indexing Boolean patterns;
     {!Hierarchy} is the general composition framework of Sect. 4;
-    {!Symmetry} implements the b1/s1 heuristics of Sect. 5; {!Emit} is the
-    polarity-aware definitional emission context behind the [+defs]
-    encoding variants; and {!Csp_encode} turns a {!Csp} instance into CNF
-    and decodes models back into colourings. *)
+    {!Symmetry} implements the b1/s1 heuristics of Sect. 5; and
+    {!Csp_encode} turns a {!Csp} instance into CNF and decodes models back
+    into colourings. *)
 
 module Layout = Layout
-module Emit = Emit
 module Ite_tree = Ite_tree
 module Simple_encoding = Simple_encoding
 module Hierarchy = Hierarchy

@@ -43,23 +43,17 @@ let table2 =
     e "direct-3+muldirect";
   ]
 
-let defs_variants = List.map Encoding.defs
-let all_emissions = all @ defs_variants all
-
 let in_registry enc =
-  let shape = Encoding.flat enc in
   List.exists
-    (fun known -> Encoding.compare known shape = 0)
+    (fun known -> Encoding.compare known enc = 0)
     (all @ multi_level_extensions)
 
-(* Membership modulo the !unshared sharing ablation as well as emission:
-   the ablation of a registry shape is still a registry shape for strategy
-   resolution (the bench sweeps it). *)
-let reshared enc =
-  match Encoding.shape enc with
-  | Encoding.Hier { top; top_vars; bottom; shared = false } ->
-      Encoding.hier ~shared:true ~top ~top_vars ~bottom ()
-  | Encoding.Simple _ | Encoding.Hier _ | Encoding.Multi _ -> enc
+(* Membership modulo the !unshared sharing ablation: the ablation of a
+   registry shape is still a registry shape for strategy resolution (the
+   bench sweeps it). *)
+let reshared = function
+  | Encoding.Hier h -> Encoding.Hier { h with shared = true }
+  | (Encoding.Simple _ | Encoding.Multi _) as enc -> enc
 
 (* Total, validated resolution for the strategy layer (CLI -s, sweeps, the
    solve server). The permissive any-parseable-name passthrough this

@@ -24,21 +24,14 @@ val multi_level_extensions : Encoding.t list
 val table2 : Encoding.t list
 (** The seven encodings whose columns appear in Table 2. *)
 
-val defs_variants : Encoding.t list -> Encoding.t list
-(** The same shapes under definitional ([+defs]) emission. *)
-
-val all_emissions : Encoding.t list
-(** Every registry encoding in both emission modes: {!all} (flat, the
-    paper's emission) followed by its [+defs] variants (30 total). *)
-
 val in_registry : Encoding.t -> bool
-(** Whether the encoding's shape is one the repository tracks — {!all} or
-    {!multi_level_extensions} — in either emission mode. *)
+(** Whether the encoding is one the repository tracks: {!all} or
+    {!multi_level_extensions}. *)
 
 val of_name : string -> (Encoding.t, string) result
 (** Total, validated name resolution for the strategy layer: the name must
-    parse {e and} its shape — modulo emission mode and the [!unshared]
-    sharing ablation — must be in the registry ({!all} or
+    parse {e and} the encoding — modulo the [!unshared] sharing
+    ablation — must be in the registry ({!all} or
     {!multi_level_extensions}). Anything else, including well-formed names
     with unbounded variable budgets ("direct-999999+direct"), is an
     [Error] with an explanatory message, never an exception — so a

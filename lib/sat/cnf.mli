@@ -1,7 +1,7 @@
 (** CNF formulas on a packed literal arena.
 
     This is the builder the encoders write into and the store every
-    downstream consumer (solver, DPLL, WalkSAT, DIMACS writer, DRAT
+    downstream consumer (solver, DPLL, DIMACS writer, DRAT
     checker) reads from. Clauses live in one flat [int array] of
     literals with an offsets index — not as boxed per-clause arrays — so
     whole-formula traversal, copy, and append are cache-friendly and

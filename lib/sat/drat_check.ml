@@ -474,14 +474,42 @@ let is_rat cnf clause =
   grow_for st clause;
   rup st clause || rat st clause
 
+(* DRAT lets a proof name variables the CNF lacks. They are numbered
+   densely above the CNF's, in order of first appearance, so the per-literal
+   arrays grow with the proof rather than with its largest literal. CNF
+   variables keep their numbers, and a proof that names no new variable
+   (the solver's own) is checked as it stands. *)
+let renumber cnf =
+  let base = Cnf.num_vars cnf in
+  let fresh = Hashtbl.create 16 in
+  let rename l =
+    let v = Lit.var l in
+    if v < base then l
+    else
+      let v' =
+        match Hashtbl.find_opt fresh v with
+        | Some v' -> v'
+        | None ->
+            let v' = base + Hashtbl.length fresh in
+            Hashtbl.add fresh v v';
+            v'
+      in
+      Lit.make v' (Lit.sign l)
+  in
+  fun lits ->
+    if List.for_all (fun l -> Lit.var l < base) lits then lits
+    else List.map rename lits
+
 let check cnf proof =
   let st = load cnf in
+  let renumber = renumber cnf in
   let steps = Proof.steps proof in
   let num_steps = List.length steps in
   let rec go i = function
     | _ when st.contradiction -> Ok st.stats
     | [] -> Error (No_empty_clause { num_steps })
     | Proof.Add lits :: rest ->
+        let lits = renumber lits in
         st.stats.additions <- st.stats.additions + 1;
         grow_for st lits;
         if rup st lits then begin
@@ -499,7 +527,7 @@ let check cnf proof =
             (Bad_step
                { step_index = i; reason = "added clause is neither RUP nor RAT" })
     | Proof.Delete lits :: rest ->
-        delete st lits;
+        delete st (renumber lits);
         go (i + 1) rest
   in
   go 0 steps

@@ -43,7 +43,10 @@ val check : Cnf.t -> Proof.t -> (stats, error) result
     steps after it, the empty clause included, need not be present. The
     verdict and the index of a [Bad_step] do not depend on the order in
     which propagation visits clauses; only the [propagations] statistic
-    does.
+    does. Variables the proof names beyond [cnf]'s are numbered densely in
+    order of first appearance, so the check's memory follows the proof's
+    size, not its largest literal; neither the verdict nor the stats
+    depend on which ids such variables carry.
 
     It can disagree with {!check_reference} in two ways, both in the
     direction of accepting more: it accepts RAT lemmas, and it stops at a

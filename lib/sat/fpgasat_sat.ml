@@ -5,8 +5,8 @@
     from-scratch CDCL solver ({!Solver}) with two presets mirroring those two
     solvers, a reference DPLL solver ({!Dpll}) used as a cross-check oracle,
     CNF construction ({!Cnf}) and DIMACS I/O ({!Dimacs_cnf}), DRAT proof
-    traces ({!Proof}) with an independent forward checker ({!Drat_check}),
-    and WalkSAT local search ({!Walksat}). *)
+    traces ({!Proof}) and an independent forward checker
+    ({!Drat_check}). *)
 
 module Lit = Lit
 module Clause = Clause
@@ -20,5 +20,4 @@ module Solver = Solver
 module Dpll = Dpll
 module Proof = Proof
 module Drat_check = Drat_check
-module Walksat = Walksat
 module Stats = Stats

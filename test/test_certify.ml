@@ -2,7 +2,8 @@
    small routes, cross-checked three ways — the CDCL solver (whose UNSAT
    proofs must pass Drat_check and whose models must pass
    Solver.check_model + Detailed_route.verify), the independent Dpll
-   solver, and Exact_coloring's exhaustive search. *)
+   solver, and Exact_coloring's exhaustive search; and every encoding's
+   refutations of small random graphs, checked by both DRAT checkers. *)
 
 module Sat = Fpgasat_sat
 module G = Fpgasat_graph
@@ -129,77 +130,79 @@ let prop_random_routes_certify =
         (List.sort_uniq compare [ max 1 (ub - 1); ub ]);
       true)
 
-(* Differential emission fuzz: flat and +defs emission of every registry
-   encoding must agree on SAT/UNSAT and on w_min, and --certify must hold
-   for both — DRAT proofs range over the aux variables, the model check
-   decodes from the slot variables and ignores them. *)
-let test_defs_vs_flat_differential () =
-  let route = random_route 11 in
-  let graph = F.Conflict_graph.build route in
-  let ub = G.Greedy.upper_bound graph in
-  let widths = List.sort_uniq compare [ max 1 (ub - 1); ub ] in
-  List.iter
-    (fun encoding ->
-      let flat = Strategy.make encoding in
-      let defs = Strategy.with_defs flat in
-      List.iter
-        (fun width ->
-          let of_outcome = function
-            | Flow.Routable _ -> Some true
-            | Flow.Unroutable -> Some false
-            | Flow.Timeout | Flow.Memout -> None
-          in
-          let a = check_cell ~route ~graph ~strategy:flat ~width in
-          let b = check_cell ~route ~graph ~strategy:defs ~width in
-          match (of_outcome a, of_outcome b) with
-          | Some x, Some y ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%s w=%d: emissions agree"
-                   (E.Encoding.name encoding) width)
-                true (x = y)
-          | _ -> ())
-        widths)
-    E.Registry.all
-
-(* w_min through the incremental-width ladder, whose selector clauses ride
-   on the +defs definitions when present. *)
-let test_defs_vs_flat_w_min () =
+(* w_min through the incremental-width ladder, whose selector clauses
+   expand each encoding's indexing patterns: every registry encoding must
+   find the same minimal width on one fixed route. *)
+let test_w_min_agrees_across_encodings () =
   let route = random_route 5 in
   let graph = F.Conflict_graph.build route in
+  let w_min encoding =
+    let strategy = Strategy.make encoding in
+    match C.Incremental_width.minimal_colors ~strategy graph with
+    | Ok r -> r.C.Incremental_width.w_min
+    | Error m ->
+        Alcotest.fail
+          (Printf.sprintf "%s: incremental search failed: %s"
+             (Strategy.name strategy) m)
+  in
+  let expected = w_min (List.hd E.Registry.all) in
   List.iter
     (fun encoding ->
-      let w_min strategy =
-        match C.Incremental_width.minimal_colors ~strategy graph with
-        | Ok r -> r.C.Incremental_width.w_min
-        | Error m ->
-            Alcotest.fail
-              (Printf.sprintf "%s: incremental search failed: %s"
-                 (Strategy.name strategy) m)
-      in
-      let flat = Strategy.make encoding in
       Alcotest.(check int)
-        (Printf.sprintf "%s: w_min matches across emissions"
-           (E.Encoding.name encoding))
-        (w_min flat)
-        (w_min (Strategy.with_defs flat)))
+        (Printf.sprintf "%s: w_min" (E.Encoding.name encoding))
+        expected (w_min encoding))
     E.Registry.all
 
-let prop_defs_random_routes_certify =
-  QCheck2.Test.make ~count:10
-    ~name:"random routes certify under +defs registry strategies"
-    QCheck2.Gen.(pair (int_range 0 1000) (int_range 0 1000))
-    (fun (seed, pick) ->
-      let route = random_route seed in
-      let graph = F.Conflict_graph.build route in
-      let ub = G.Greedy.upper_bound graph in
-      let encoding =
-        List.nth E.Registry.all (pick mod List.length E.Registry.all)
+(* Every encoding, one property each (the registry, the multi-level
+   extensions and the unshared ablation): on a small random graph, each
+   width below the chromatic number is refuted by a proof that both DRAT
+   checkers accept, and the first width that exhaustive search colours
+   gets a model that checks and decodes to a proper colouring. The
+   symmetry heuristic and solver rotate with the draw. *)
+let props_refutations_certify =
+  let gen =
+    QCheck2.Gen.(
+      let* n = int_range 1 7 in
+      let* edges =
+        list_repeat
+          (min 12 (n * (n - 1) / 2))
+          (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
       in
-      let strategy = Strategy.with_defs (Strategy.make encoding) in
-      List.iter
-        (fun width -> ignore (check_cell ~route ~graph ~strategy ~width))
-        (List.sort_uniq compare [ max 1 (ub - 1); ub ]);
-      true)
+      let* symmetry = oneofl [ None; Some E.Symmetry.B1; Some E.Symmetry.S1 ] in
+      let* solver = oneofl [ `Siege_like; `Minisat_like ] in
+      return (n, List.filter (fun (u, v) -> u <> v) edges, symmetry, solver))
+  in
+  List.map
+    (fun encoding ->
+      QCheck2.Test.make ~count:60
+        ~name:
+          (Printf.sprintf "refutations below w_min certify: %s"
+             (E.Encoding.name encoding))
+        gen
+        (fun (n, edges, symmetry, solver) ->
+          let graph = G.Graph.of_edges n edges in
+          let strategy = Strategy.make ?symmetry ~solver encoding in
+          let rec climb width =
+            let enc = encode strategy graph ~width in
+            let cnf = enc.E.Csp_encode.cnf in
+            let proof = Sat.Proof.create () in
+            match
+              ( fst (Sat.Solver.solve ~config:strategy.Strategy.solver ~proof cnf),
+                exact_answer graph ~width )
+            with
+            | Sat.Solver.Unsat, G.Exact_coloring.Uncolorable ->
+                Result.is_ok (Drat.check cnf proof)
+                && Result.is_ok (Drat.check_reference cnf proof)
+                && climb (width + 1)
+            | Sat.Solver.Sat model, G.Exact_coloring.Colorable _ ->
+                Sat.Solver.check_model cnf model
+                && G.Coloring.is_proper graph ~k:width
+                     (E.Csp_encode.decode enc model)
+            | _ -> false
+          in
+          climb 1))
+    (E.Registry.all @ E.Registry.multi_level_extensions
+    @ [ Result.get_ok (E.Registry.of_name "direct-3+muldirect!unshared") ])
 
 (* Symmetry breaking must not break certification: s1 prunes models, so the
    certificate path has to hold with it enabled too. *)
@@ -226,7 +229,7 @@ let qtests =
   List.map
     (fun t ->
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |]) t)
-    [ prop_random_routes_certify; prop_defs_random_routes_certify ]
+    (prop_random_routes_certify :: props_refutations_certify)
 
 let () =
   Alcotest.run "certify"
@@ -237,13 +240,8 @@ let () =
             test_registry_differential;
           Alcotest.test_case "symmetry-broken runs certify" `Quick
             test_certify_with_symmetry;
-        ] );
-      ( "emission",
-        [
-          Alcotest.test_case "flat and +defs emissions agree and certify" `Slow
-            test_defs_vs_flat_differential;
-          Alcotest.test_case "w_min matches across emissions" `Slow
-            test_defs_vs_flat_w_min;
+          Alcotest.test_case "w_min agrees across registry encodings" `Slow
+            test_w_min_agrees_across_encodings;
         ] );
       ("properties", qtests);
     ]

@@ -1,5 +1,6 @@
 (* Tests for the core flow: strategies, the end-to-end Flow.submit pipeline,
-   minimal-width binary search, and report formatting. *)
+   minimal-width binary search, the incremental-width ladder, and report
+   formatting. *)
 
 module Sat = Fpgasat_sat
 module G = Fpgasat_graph
@@ -46,6 +47,10 @@ let test_strategy_parsing () =
   (match Strategy.of_name "log/zz" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad symmetry accepted");
+  (* a +defs suffix names no encoding, so no strategy *)
+  (match Strategy.of_name "ITE-linear-2+muldirect+defs/s1" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "+defs strategy accepted");
   match Strategy.of_name "log@zz" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad solver accepted"
@@ -256,6 +261,57 @@ let test_incremental_other_encodings () =
       | Error m -> Alcotest.fail (sname ^ ": " ^ m))
     [ "muldirect"; "log/s1"; "ITE-log/b1"; "direct-3+muldirect/s1@minisat" ]
 
+(* Every encoding's selector clauses, one property each (the registry, the
+   multi-level extensions and the unshared ablation): a ladder built on a
+   random graph of up to 24 vertices answers every width from 1 to one
+   above its DSATUR bound, in a random order and with learnt clauses kept
+   between queries, exactly as exhaustive search does, and each colouring
+   it returns is proper within its width. Widths between the chromatic
+   number and the DSATUR bound are the ones a wrong selector clause gets
+   wrong; about one graph in fifteen drawn here has them. The symmetry
+   heuristic rotates with the draw. *)
+let gen_ladder_input =
+  QCheck2.Gen.(
+    let* n = int_range 1 24 in
+    let* edges =
+      list_repeat
+        (min 100 (n * (n - 1) / 2))
+        (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
+    in
+    let* symmetry = oneofl [ None; Some E.Symmetry.B1; Some E.Symmetry.S1 ] in
+    let* widths = shuffle_l (List.init (n + 1) (fun i -> i + 1)) in
+    return (n, List.filter (fun (u, v) -> u <> v) edges, symmetry, widths))
+
+let props_ladder_answers_every_width =
+  List.map
+    (fun encoding ->
+      QCheck2.Test.make ~count:100
+        ~name:
+          (Printf.sprintf "ladder answers every width: %s"
+             (E.Encoding.name encoding))
+        gen_ladder_input
+        (fun (n, edges, symmetry, widths) ->
+          let g = G.Graph.of_edges n edges in
+          let ladder =
+            C.Incremental_width.prepare
+              ~strategy:(Strategy.make ?symmetry encoding)
+              g
+          in
+          let upper = (C.Incremental_width.bounds ladder).C.Width_bounds.upper in
+          List.for_all
+            (fun width ->
+              match
+                ( C.Incremental_width.query ladder ~width,
+                  G.Exact_coloring.k_colorable g ~k:width )
+              with
+              | `Colorable coloring, G.Exact_coloring.Colorable _ ->
+                  G.Coloring.is_proper g ~k:width coloring
+              | `Uncolorable, G.Exact_coloring.Uncolorable -> true
+              | _ -> false)
+            (List.filter (fun w -> w <= upper + 1) widths)))
+    (E.Registry.all @ E.Registry.multi_level_extensions
+    @ [ (strategy "direct-3+muldirect!unshared").Strategy.encoding ])
+
 let test_solver_assumptions_basic () =
   (* (x0 | x1) with assumption -x0 forces x1; assuming both negative is
      UNSAT under assumptions while the formula stays satisfiable *)
@@ -315,6 +371,17 @@ let test_render_table () =
         rest
   | [] -> Alcotest.fail "empty table"
 
+(* A fixed default seed keeps failures reproducible; QCHECK_SEED overrides
+   it. *)
+let seed =
+  match Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt with
+  | Some s -> s
+  | None -> 20080307
+
+let qtests =
+  List.map (fun t ->
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |]) t)
+
 let () =
   Alcotest.run "core"
     [
@@ -346,6 +413,7 @@ let () =
             test_incremental_matches_binary_search;
           Alcotest.test_case "other encodings" `Quick test_incremental_other_encodings;
         ] );
+      ("ladder", qtests props_ladder_answers_every_width);
       ( "report",
         [
           Alcotest.test_case "seconds" `Quick test_format_seconds;

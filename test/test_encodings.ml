@@ -260,26 +260,21 @@ let prop_partition =
 
 (* --- size predictions --- *)
 
-(* Every registry shape in both emission modes: the prediction must match
-   the encoder to the variable, clause AND literal — aux variables and
-   definition clauses included. *)
-let stats_universe =
-  let shapes = E.Registry.all @ E.Registry.multi_level_extensions in
-  shapes @ E.Registry.defs_variants shapes
-
+(* Every registry encoding: the prediction must match the encoder to the
+   variable, clause AND literal. *)
 let prop_stats_predict_exactly =
   QCheck2.Test.make ~count:300
-    ~name:"Encoding_stats predicts the encoder's output exactly (both modes)"
+    ~name:"Encoding_stats predicts the encoder's output exactly"
     QCheck2.Gen.(
       let* n = int_range 1 6 in
       let* k = int_range 1 6 in
       let* edges =
         list_repeat (2 * n) (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
       in
-      let* which = int_range 0 (List.length stats_universe - 1) in
+      let* which = int_range 0 (List.length extended_encodings - 1) in
       return (n, k, List.filter (fun (u, v) -> u <> v) edges, which))
     (fun (n, k, edges, which) ->
-      let e = List.nth stats_universe which in
+      let e = List.nth extended_encodings which in
       let g = G.Graph.of_edges n edges in
       let csp = E.Csp.make g ~k in
       let encoded = E.Csp_encode.encode e csp in
@@ -326,31 +321,7 @@ let test_encode_allocates_once () =
         (Enc.name e ^ "/s1: words held")
         (Sat.Cnf.num_lits cnf + (2 * Sat.Cnf.num_clauses cnf))
         (Sat.Cnf.live_words cnf))
-    stats_universe
-
-let test_stats_defs_binary_conflicts () =
-  (* the acceptance criterion: under +defs, shared-pattern encodings pay 2
-     conflict literals per edge per value *)
-  List.iter
-    (fun (name, k) ->
-      let s = E.Encoding_stats.predict (enc (name ^ "+defs")) ~k in
-      Alcotest.(check int)
-        (Printf.sprintf "%s+defs k=%d: binary conflicts" name k)
-        (2 * k)
-        s.E.Encoding_stats.conflict_literals_per_edge)
-    [ ("log", 13); ("ITE-linear", 13); ("ITE-linear-2+muldirect", 13);
-      ("muldirect-3+muldirect", 8); ("ITE-log-2+ITE-linear", 13) ];
-  (* singleton patterns are inlined: direct/muldirect gain no aux vars and
-     keep their already-binary conflicts *)
-  let s = E.Encoding_stats.predict (enc "muldirect+defs") ~k:13 in
-  Alcotest.(check int) "muldirect+defs: no aux vars" 0
-    s.E.Encoding_stats.aux_vars_per_csp_var;
-  Alcotest.(check int) "muldirect+defs: no def clauses" 0
-    s.E.Encoding_stats.def_clauses_per_csp_var;
-  let flat = E.Encoding_stats.predict (enc "muldirect") ~k:13 in
-  Alcotest.(check int) "muldirect: defs = flat conflict lits"
-    flat.E.Encoding_stats.conflict_literals_per_edge
-    s.E.Encoding_stats.conflict_literals_per_edge
+    extended_encodings
 
 let test_stats_examples () =
   let stats = E.Encoding_stats.predict (enc "direct") ~k:3 in
@@ -366,105 +337,6 @@ let test_stats_examples () =
   Alcotest.(check int) "ITE has no side clauses" 0
     ite.E.Encoding_stats.side_clauses_per_csp_var
 
-(* --- the Emit definitional context --- *)
-
-let lit v s = Sat.Lit.make v s
-
-let test_emit_polarity_directions () =
-  let cnf = Sat.Cnf.create () in
-  ignore (Sat.Cnf.fresh_vars cnf 3);
-  let ctx = E.Emit.create cnf in
-  let lits = [ lit 0 true; lit 1 false; lit 2 true ] in
-  (* Neg polarity: exactly one defining clause (~l1|~l2|~l3|d) *)
-  let d = E.Emit.conj ctx E.Emit.Neg lits in
-  Alcotest.(check bool) "def is a fresh positive literal" true
-    (Sat.Lit.sign d && Sat.Lit.var d = 3);
-  Alcotest.(check int) "one clause for Neg" 1 (Sat.Cnf.num_clauses cnf);
-  Alcotest.(check int) "len+1 literals" 4 (Sat.Cnf.num_lits cnf);
-  (* asking again, same polarity: fully cached, nothing emitted *)
-  let d' = E.Emit.conj ctx E.Emit.Neg lits in
-  Alcotest.(check int) "cached def var" (Sat.Lit.var d) (Sat.Lit.var d');
-  Alcotest.(check int) "no new clauses" 1 (Sat.Cnf.num_clauses cnf);
-  (* upgrading to Both emits only the missing Pos direction: 3 binary
-     clauses (~d|li) *)
-  let d'' = E.Emit.conj ctx E.Emit.Both lits in
-  Alcotest.(check int) "still the same var" (Sat.Lit.var d) (Sat.Lit.var d'');
-  Alcotest.(check int) "3 more clauses" 4 (Sat.Cnf.num_clauses cnf);
-  Alcotest.(check int) "2 literals each" 10 (Sat.Cnf.num_lits cnf);
-  let stats = E.Emit.stats ctx in
-  Alcotest.(check int) "one definition" 1 stats.E.Emit.defs;
-  Alcotest.(check int) "4 def clauses" 4 stats.E.Emit.clauses;
-  Alcotest.(check int) "10 def literals" 10 stats.E.Emit.literals
-
-let test_emit_inlining () =
-  let cnf = Sat.Cnf.create () in
-  ignore (Sat.Cnf.fresh_vars cnf 2);
-  let ctx = E.Emit.create cnf in
-  (* singletons come back unchanged, no clauses *)
-  let l = E.Emit.conj ctx E.Emit.Both [ lit 1 false ] in
-  Alcotest.(check int) "singleton inlined" (lit 1 false) l;
-  Alcotest.(check int) "no clauses for singleton" 0 (Sat.Cnf.num_clauses cnf);
-  (* the empty conjunction is a cached constant true *)
-  let t1 = E.Emit.conj ctx E.Emit.Neg [] in
-  let t2 = E.Emit.conj ctx E.Emit.Pos [] in
-  Alcotest.(check int) "constant true cached" t1 t2;
-  Alcotest.(check int) "one unit clause" 1 (Sat.Cnf.num_clauses cnf);
-  (* duplicate literals collapse to the singleton case *)
-  let l' = E.Emit.conj ctx E.Emit.Neg [ lit 0 true; lit 0 true ] in
-  Alcotest.(check int) "duplicates collapse" (lit 0 true) l';
-  (* complementary literals are a caller bug *)
-  Alcotest.check_raises "contradiction rejected"
-    (Invalid_argument "Emit.conj: complementary literals") (fun () ->
-      ignore (E.Emit.conj ctx E.Emit.Neg [ lit 0 true; lit 0 false ]))
-
-let test_emit_structural_sharing () =
-  let cnf = Sat.Cnf.create () in
-  ignore (Sat.Cnf.fresh_vars cnf 4);
-  let ctx = E.Emit.create cnf in
-  let a = [ lit 0 true; lit 1 true ] in
-  let da = E.Emit.conj ctx E.Emit.Neg a in
-  (* same conjunction in any order shares the definition *)
-  let da' = E.Emit.conj ctx E.Emit.Neg (List.rev a) in
-  Alcotest.(check int) "order-insensitive sharing" da da';
-  (* a different conjunction gets its own variable *)
-  let db = E.Emit.conj ctx E.Emit.Neg [ lit 2 true; lit 3 false ] in
-  Alcotest.(check bool) "distinct conj, distinct var" true (da <> db);
-  let stats = E.Emit.stats ctx in
-  Alcotest.(check int) "two definitions" 2 stats.E.Emit.defs;
-  (* find is a pure lookup honouring polarity coverage *)
-  Alcotest.(check (option int)) "find Neg hits" (Some da)
-    (E.Emit.find ctx E.Emit.Neg a);
-  Alcotest.(check (option int)) "find Pos misses (not emitted)" None
-    (E.Emit.find ctx E.Emit.Pos a);
-  Alcotest.(check (option int)) "find unknown conj" None
-    (E.Emit.find ctx E.Emit.Neg [ lit 0 false; lit 3 true ]);
-  Alcotest.(check int) "find emitted nothing" 2 (Sat.Cnf.num_clauses cnf)
-
-(* Semantics: a definition really is equisatisfiable with its conjunction
-   in the polarity it was emitted for. *)
-let test_emit_neg_semantics () =
-  let cnf = Sat.Cnf.create () in
-  ignore (Sat.Cnf.fresh_vars cnf 2);
-  let ctx = E.Emit.create cnf in
-  let d = E.Emit.conj ctx E.Emit.Neg [ lit 0 true; lit 1 true ] in
-  (* assert ~d: with conj -> d this forbids (l0 & l1) *)
-  Sat.Cnf.add_clause cnf [ Sat.Lit.negate d ];
-  Sat.Cnf.add_clause cnf [ lit 0 true ];
-  Sat.Cnf.add_clause cnf [ lit 1 true ];
-  (match fst (Sat.Solver.solve cnf) with
-  | Sat.Solver.Unsat -> ()
-  | _ -> Alcotest.fail "~d with both conjuncts true should be unsat");
-  let cnf2 = Sat.Cnf.create () in
-  ignore (Sat.Cnf.fresh_vars cnf2 2);
-  let ctx2 = E.Emit.create cnf2 in
-  let d2 = E.Emit.conj ctx2 E.Emit.Pos [ lit 0 true; lit 1 true ] in
-  (* assert d: with d -> conj this forces both conjuncts *)
-  Sat.Cnf.add_clause cnf2 [ d2 ];
-  match fst (Sat.Solver.solve cnf2) with
-  | Sat.Solver.Sat m ->
-      Alcotest.(check bool) "conjuncts forced" true (m.(0) && m.(1))
-  | _ -> Alcotest.fail "d asserted positively should be sat"
-
 (* --- encoding names --- *)
 
 let test_names_roundtrip () =
@@ -476,24 +348,7 @@ let test_names_roundtrip () =
             (Printf.sprintf "roundtrip %s" (Enc.name e))
             0 (Enc.compare e e')
       | Error m -> Alcotest.fail m)
-    (extended_encodings
-    @ E.Registry.defs_variants extended_encodings
-    @ [ enc "direct-3+muldirect!unshared";
-        enc "direct-3+muldirect!unshared+defs" ])
-
-let test_defs_names () =
-  Alcotest.(check string) "suffix printed" "muldirect+defs"
-    (Enc.name (E.Encoding.defs (enc "muldirect")));
-  (match Enc.of_name "ITE-linear-2+muldirect+defs" with
-  | Ok e ->
-      Alcotest.(check bool) "parsed as definitional" true
-        (E.Encoding.is_definitional e);
-      Alcotest.(check int) "flat strips the mode" 0
-        (Enc.compare (E.Encoding.flat e) (enc "ITE-linear-2+muldirect"))
-  | Error m -> Alcotest.fail m);
-  (* the mode is part of encoding identity *)
-  Alcotest.(check bool) "flat <> defs" true
-    (Enc.compare (enc "log") (enc "log+defs") <> 0)
+    (extended_encodings @ [ enc "direct-3+muldirect!unshared" ])
 
 let test_bad_names_rejected () =
   List.iter
@@ -501,7 +356,10 @@ let test_bad_names_rejected () =
       match Enc.of_name s with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail ("should not parse: " ^ s))
-    [ "nope"; "direct-0+direct"; "direct-3+"; "a+b+c"; "" ]
+    [ "nope"; "direct-0+direct"; "direct-3+"; "a+b+c"; "";
+      (* a +defs suffix names no encoding *)
+      "log+defs"; "ITE-linear-2+muldirect+defs";
+      "direct-3+muldirect!unshared+defs" ]
 
 let test_multi_level_shape () =
   (* a 3-level direct-2+direct-2+direct on 8 values: level 1 splits into 2
@@ -520,16 +378,14 @@ let test_registry_counts () =
   Alcotest.(check int) "2 previous" 2 (List.length E.Registry.previously_used);
   Alcotest.(check int) "12 new" 12 (List.length E.Registry.new_encodings);
   Alcotest.(check int) "15 total" 15 (List.length E.Registry.all);
-  Alcotest.(check int) "7 in table 2" 7 (List.length E.Registry.table2);
-  Alcotest.(check int) "30 across emissions" 30
-    (List.length E.Registry.all_emissions)
+  Alcotest.(check int) "7 in table 2" 7 (List.length E.Registry.table2)
 
 let test_in_registry () =
   List.iter
     (fun e ->
       Alcotest.(check bool) (Enc.name e ^ " is in registry") true
         (E.Registry.in_registry e))
-    (E.Registry.all_emissions @ E.Registry.multi_level_extensions);
+    extended_encodings;
   Alcotest.(check bool) "mixed hierarchy is not" false
     (E.Registry.in_registry (enc "direct-2+log"));
   (* of_name is strict: parseable but out-of-registry shapes are rejected
@@ -540,12 +396,9 @@ let test_in_registry () =
   (match E.Encoding.of_name "direct-2+log" with
   | Ok _ -> ()
   | Error m -> Alcotest.fail m);
-  (* ... but admits registry encodings in any emission and the !unshared
-     ablation (the bench sweeps those as strategies) *)
+  (* ... but admits the !unshared ablation (the bench sweeps it as a
+     strategy) *)
   (match E.Registry.of_name "direct-3+muldirect!unshared" with
-  | Ok _ -> ()
-  | Error m -> Alcotest.fail m);
-  (match E.Registry.of_name "ITE-linear-2+muldirect+defs" with
   | Ok _ -> ()
   | Error m -> Alcotest.fail m);
   match E.Registry.of_name "nonsense" with
@@ -780,38 +633,6 @@ let props_encodings_agree_with_brute_force =
         (fun input -> check_encoding_on e input))
     extended_encodings
 
-(* --- flat vs definitional emission agree --- *)
-
-let props_defs_agree_with_brute_force =
-  List.map
-    (fun e ->
-      let e = E.Encoding.defs e in
-      QCheck2.Test.make ~count:60
-        ~name:(Printf.sprintf "encode/solve/decode: %s" (Enc.name e))
-        gen_small_graph
-        (fun input -> check_encoding_on e input))
-    E.Registry.all
-
-let prop_defs_matches_flat_sat =
-  QCheck2.Test.make ~count:150
-    ~name:"flat and +defs emissions are equisatisfiable"
-    QCheck2.Gen.(
-      let* input = gen_small_graph in
-      let* which = int_range 0 (List.length E.Registry.all - 1) in
-      return (input, which))
-    (fun ((n, k, edges), which) ->
-      let e = List.nth E.Registry.all which in
-      let g = G.Graph.of_edges n edges in
-      let csp = E.Csp.make g ~k in
-      let solve enc =
-        let encoded = E.Csp_encode.encode enc csp in
-        match fst (Sat.Solver.solve encoded.E.Csp_encode.cnf) with
-        | Sat.Solver.Sat _ -> Some true
-        | Sat.Solver.Unsat -> Some false
-        | Sat.Solver.Unknown | Sat.Solver.Memout -> None
-      in
-      solve e = solve (E.Encoding.defs e))
-
 let props_symmetry_preserves_answer =
   List.concat_map
     (fun h ->
@@ -900,24 +721,12 @@ let () =
         :: qtests [ prop_mixed_agrees_with_brute_force ] );
       ( "stats",
         Alcotest.test_case "examples" `Quick test_stats_examples
-        :: Alcotest.test_case "defs conflicts are binary" `Quick
-             test_stats_defs_binary_conflicts
         :: Alcotest.test_case "encode allocates once" `Quick
              test_encode_allocates_once
         :: qtests [ prop_stats_predict_exactly ] );
-      ( "emit",
-        [
-          Alcotest.test_case "polarity directions" `Quick
-            test_emit_polarity_directions;
-          Alcotest.test_case "inlining" `Quick test_emit_inlining;
-          Alcotest.test_case "structural sharing" `Quick
-            test_emit_structural_sharing;
-          Alcotest.test_case "semantics" `Quick test_emit_neg_semantics;
-        ] );
       ( "names",
         [
           Alcotest.test_case "roundtrip" `Quick test_names_roundtrip;
-          Alcotest.test_case "defs names" `Quick test_defs_names;
           Alcotest.test_case "multi-level shape" `Quick test_multi_level_shape;
           Alcotest.test_case "bad names rejected" `Quick test_bad_names_rejected;
           Alcotest.test_case "registry counts" `Quick test_registry_counts;
@@ -934,9 +743,6 @@ let () =
         ]
         @ qtests [ prop_sequence_matches_reference ] );
       ("agreement", qtests props_encodings_agree_with_brute_force);
-      ( "defs-agreement",
-        qtests (prop_defs_matches_flat_sat :: props_defs_agree_with_brute_force)
-      );
       ("symmetry-preservation", qtests props_symmetry_preserves_answer);
       ("unshared", qtests [ prop_unshared_agrees ]);
       ( "decode",

@@ -482,7 +482,8 @@ let test_serialisation_errors () =
 
 (* route-file reads both files from the user: a bad one is reported with its
    name and cmdliner's error status (124), never as an uncaught exception
-   (125). *)
+   (125). The same holds for a width or colour count below 1, a +defs
+   encoding name and an unknown colouring method. *)
 let test_route_file_cli_errors () =
   let exe =
     Filename.concat (Filename.dirname Sys.executable_name) "../bin/fpgasat.exe"
@@ -498,13 +499,13 @@ let test_route_file_cli_errors () =
     Out_channel.with_open_text path (fun oc -> output_string oc text);
     path
   in
-  let run args =
+  let run_cli args =
     let err = temp ".err" in
     let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
     let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
     let pid =
       Unix.create_process exe
-        (Array.of_list ("fpgasat" :: "route-file" :: "-w" :: "2" :: args))
+        (Array.of_list ("fpgasat" :: args))
         Unix.stdin null fd
     in
     Unix.close fd;
@@ -512,6 +513,7 @@ let test_route_file_cli_errors () =
     let _, status = Unix.waitpid [] pid in
     (status, String.trim (In_channel.with_open_text err In_channel.input_all))
   in
+  let run args = run_cli ("route-file" :: "-w" :: "2" :: args) in
   Fun.protect
     ~finally:(fun () -> List.iter Sys.remove !files)
     (fun () ->
@@ -539,6 +541,36 @@ let test_route_file_cli_errors () =
           ( [ "--nets"; good; "--routes"; routes ],
             routes,
             "line 1: expected 'fpga <n>' header" );
+        ];
+      let col = write ".col" "p edge 3 2\ne 1 2\ne 2 3\n" in
+      List.iter
+        (fun (args, reason) ->
+          let status, message = run_cli args in
+          let first_line = List.hd (String.split_on_char '\n' message) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: exit 124 (stderr: %s)" (String.concat " " args)
+               first_line)
+            true
+            (status = Unix.WEXITED 124);
+          Alcotest.(check string) "message" reason first_line)
+        [
+          ( [ "route"; "alu2"; "-w"; "0" ],
+            "fpgasat: option '-w': 0 is not positive" );
+          ( [ "encode"; "alu2"; "-w"; "0"; "-e"; "log" ],
+            "fpgasat: option '-w': 0 is not positive" );
+          ( [ "portfolio"; "alu2"; "-w"; "0" ],
+            "fpgasat: option '-w': 0 is not positive" );
+          ( [ "route-file"; "--nets"; good; "-w"; "0" ],
+            "fpgasat: option '-w': 0 is not positive" );
+          ( [ "color"; col; "-k"; "0" ],
+            "fpgasat: option '-k': 0 is not positive" );
+          ( [ "color"; col; "-k"; "0"; "--method"; "exact" ],
+            "fpgasat: option '-k': 0 is not positive" );
+          ( [ "route"; "alu2"; "-w"; "5"; "-s"; "ITE-linear-2+muldirect+defs/s1" ],
+            "fpgasat: option '-s': unknown multi-level encoding" );
+          ( [ "color"; col; "-k"; "3"; "--method"; "bdd" ],
+            "fpgasat: option '--method': invalid value 'bdd', expected either \
+             'sat' or" );
         ];
       let status, _ = run [ "--nets"; good ] in
       Alcotest.(check bool) "a good netlist routes" true (status = Unix.WEXITED 0))
@@ -707,31 +739,7 @@ let prop_random_routes_valid =
 
 (* The CLI reads netlists, routings, DIMACS CNF and graphs, and DRAT proofs
    from users' files. On any input each reader returns a value or raises its
-   own [Parse_error], nothing else: a property fails on any other exception.
-   Each reader gets token soup (its own keywords, sizes at and past the
-   caps, integers at the edges of [int]) and a valid file with one byte
-   replaced. *)
-
-let token_soup tokens =
-  QCheck2.Gen.(
-    map (String.concat "") (list_size (int_range 0 24) (oneofl tokens)))
-
-(* The new byte is any byte, or half the time one of the file's own, which
-   turns ids, coordinates and sizes into one another. *)
-let one_byte_replaced text =
-  let pos = QCheck2.Gen.int_bound (String.length text - 1) in
-  QCheck2.Gen.(
-    map2
-      (fun pos c ->
-        let b = Bytes.of_string text in
-        Bytes.set b pos c;
-        Bytes.to_string b)
-      pos
-      (oneof [ char; map (String.get text) pos ]))
-
-let int_edges =
-  [ "0"; "-1"; "4611686018427387903"; "-4611686018427387904";
-    "99999999999999999999" ]
+   own [Parse_error], nothing else ({!Outside_bytes}). *)
 
 let readers =
   let small_routes =
@@ -782,33 +790,7 @@ let readers =
       small_routes );
   ]
 
-let readers_never_raise =
-  List.concat_map
-    (fun (name, read, tokens, valid) ->
-      let prop what gen =
-        QCheck2.Test.make ~count:1000
-          ~name:(Printf.sprintf "%s never raises on %s" name what)
-          gen
-          (fun s ->
-            read s;
-            true)
-      in
-      [
-        prop "token soup" (token_soup (tokens @ int_edges));
-        prop "a valid file with one byte replaced" (one_byte_replaced valid);
-      ])
-    readers
-
-(* A fixed default seed keeps failures reproducible; QCHECK_SEED overrides
-   it. *)
-let seeded_qtests =
-  let seed =
-    match Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt with
-    | Some s -> s
-    | None -> 20080307
-  in
-  List.map (fun t ->
-      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |]) t)
+let readers_never_raise = List.concat_map Outside_bytes.never_raises readers
 
 let qtests = List.map QCheck_alcotest.to_alcotest
 
@@ -883,7 +865,7 @@ let () =
           Alcotest.test_case "route-file refuses bad files" `Quick
             test_route_file_cli_errors;
         ] );
-      ("outside bytes", seeded_qtests readers_never_raise);
+      ("outside bytes", Outside_bytes.seeded_qtests readers_never_raise);
       ( "render",
         [
           Alcotest.test_case "congestion map" `Quick test_render_congestion_map;

@@ -1,37 +1,18 @@
-(* Tests for the SAT extras: the DRAT forward checker and WalkSAT — each
-   cross-checked against the CDCL solver and brute force on random
-   formulas. *)
+(* Tests for the SAT extras: the DRAT forward checker, cross-checked
+   against the CDCL solver and the reference checker on random formulas,
+   and the solver's restart and assumption interfaces. *)
 
 module Lit = Fpgasat_sat.Lit
 module Cnf = Fpgasat_sat.Cnf
 module Solver = Fpgasat_sat.Solver
 module Proof = Fpgasat_sat.Proof
 module Drat = Fpgasat_sat.Drat_check
-module Walksat = Fpgasat_sat.Walksat
 
 let cnf_of nvars clauses =
   let cnf = Cnf.create () in
   Cnf.ensure_vars cnf nvars;
   List.iter (fun c -> Cnf.add_clause cnf (List.map Lit.of_dimacs c)) clauses;
   cnf
-
-let brute_force cnf =
-  let n = Cnf.num_vars cnf in
-  assert (n <= 16);
-  let sat_under m =
-    Cnf.fold_clauses cnf ~init:true ~f:(fun acc arena off len ->
-        acc
-        &&
-        let rec any k =
-          k < off + len
-          && ((m lsr Lit.var arena.(k)) land 1
-              = (if Lit.sign arena.(k) then 1 else 0)
-             || any (k + 1))
-        in
-        any off)
-  in
-  let rec go m = if m >= 1 lsl n then false else sat_under m || go (m + 1) in
-  go 0
 
 let gen_random_cnf =
   QCheck2.Gen.(
@@ -298,7 +279,70 @@ let prop_drat_mutated_agrees_with_reference =
           | Error (Drat.No_empty_clause _), Error (Drat.Bad_step _) -> false
           | Error _, _ -> true))
 
-(* (c) The two must-fail files of the certify smoke: the alu2 W=5 log
+(* (c) A proof may name variables the CNF lacks. Each proof here opens
+   with extension definitions x <-> a & b over fresh variables x, which are
+   RAT on x, adds a few random lemmas that may mention them, and ends with
+   the solver's refutation if there is one. Moved to ids near the parse
+   cap, in reverse order, the fresh variables are numbered back densely in
+   order of first appearance, so the check gives the verdict and stats of
+   the same proof against a CNF that declares them. *)
+let prop_drat_fresh_variable_ids_irrelevant =
+  QCheck2.Test.make ~count:200
+    ~name:"renaming fresh proof variables keeps verdict and stats"
+    QCheck2.Gen.(
+      let lit_below n =
+        let* v = int_range 0 (n - 1) in
+        let* sign = bool in
+        return (Lit.make v sign)
+      in
+      let* input = gen_threshold_cnf in
+      let* defs = list_size (int_range 1 4) (pair (lit_below 10) (lit_below 10)) in
+      let* lemmas =
+        list_size (int_range 0 3)
+          (list_size (int_range 1 3) (lit_below (11 + List.length defs)))
+      in
+      let* spread = int_range 1 1000 in
+      return (input, defs, lemmas, spread))
+    (fun (((nvars, _) as input), defs, lemmas, spread) ->
+      let cnf = build input in
+      let declared = build input in
+      Cnf.ensure_vars declared (nvars + List.length defs + 1);
+      let definitions =
+        List.concat
+          (List.mapi
+             (fun i (a, b) ->
+               let x = Lit.pos (nvars + i) in
+               [
+                 Proof.Add [ Lit.negate x; a ];
+                 Proof.Add [ Lit.negate x; b ];
+                 Proof.Add [ x; Lit.negate a; Lit.negate b ];
+               ])
+             defs)
+      in
+      let refuting =
+        match refutation cnf with Some p -> Proof.steps p | None -> []
+      in
+      let steps =
+        definitions @ List.map (fun c -> Proof.Add c) lemmas @ refuting
+      in
+      let far l =
+        let v = Lit.var l in
+        if v < nvars then l
+        else
+          Lit.make
+            (Fpgasat_sat.Dimacs_cnf.max_vars - 1 - ((v - nvars) * spread))
+            (Lit.sign l)
+      in
+      let moved =
+        List.map
+          (function
+            | Proof.Add c -> Proof.Add (List.map far c)
+            | Proof.Delete c -> Proof.Delete (List.map far c))
+          steps
+      in
+      Drat.check declared (rebuild steps) = Drat.check cnf (rebuild moved))
+
+(* (d) The two must-fail files of the certify smoke: the alu2 W=5 log
    refutation checked against the W=6 CNF, which is routable, and the same
    proof with its 11th line (step 10) replaced by the unit clause 1. Both
    checkers refuse them at the same step. Without its final empty clause the
@@ -511,65 +555,6 @@ let test_solver_stats_accumulate () =
   Alcotest.(check bool) "first call worked" true (after_first > 0);
   Alcotest.(check int) "second call free" after_first after_second
 
-(* --- WalkSAT --- *)
-
-let test_walksat_finds_model () =
-  let cnf = cnf_of 4 [ [ 1; 2 ]; [ -1; 3 ]; [ -3; 4 ]; [ -2; -4; 1 ] ] in
-  match Walksat.solve cnf with
-  | Walksat.Sat m, flips ->
-      Alcotest.(check bool) "model checks" true (Solver.check_model cnf m);
-      Alcotest.(check bool) "flips counted" true (flips >= 0)
-  | Walksat.Unknown, _ -> Alcotest.fail "trivially satisfiable formula missed"
-
-let test_walksat_php_sat () =
-  let cnf = php 6 6 in
-  match Walksat.solve cnf with
-  | Walksat.Sat m, _ ->
-      Alcotest.(check bool) "model checks" true (Solver.check_model cnf m)
-  | Walksat.Unknown, _ -> Alcotest.fail "PHP 6/6 is satisfiable"
-
-let test_walksat_gives_up_on_unsat () =
-  let cnf = cnf_of 1 [ [ 1 ]; [ -1 ] ] in
-  let params = { Walksat.default_params with max_tries = 2; max_flips = 100 } in
-  match Walksat.solve ~params cnf with
-  | Walksat.Unknown, _ -> ()
-  | Walksat.Sat _, _ -> Alcotest.fail "found a model of an UNSAT formula"
-
-let test_walksat_empty_clause () =
-  let cnf = Cnf.create () in
-  Cnf.add_clause cnf [];
-  match Walksat.solve cnf with
-  | Walksat.Unknown, 0 -> ()
-  | _ -> Alcotest.fail "empty clause must give Unknown immediately"
-
-let test_walksat_deterministic () =
-  let cnf = php 5 5 in
-  let r1 = Walksat.solve cnf and r2 = Walksat.solve cnf in
-  Alcotest.(check bool) "same flip count" true (snd r1 = snd r2)
-
-let quick_params =
-  { Walksat.default_params with Walksat.max_tries = 3; max_flips = 5_000 }
-
-let prop_walksat_models_valid =
-  QCheck2.Test.make ~count:300 ~name:"WalkSAT models satisfy the formula"
-    gen_random_cnf (fun input ->
-      let cnf = build input in
-      match Walksat.solve ~params:quick_params cnf with
-      | Walksat.Sat m, _ -> Solver.check_model cnf m
-      | Walksat.Unknown, _ -> true)
-
-let prop_walksat_agrees_when_sat =
-  QCheck2.Test.make ~count:200 ~name:"WalkSAT finds models of easy SAT formulas"
-    gen_random_cnf (fun input ->
-      let cnf = build input in
-      (* on <=8 vars, the default budget makes WalkSAT essentially complete
-         for satisfiable formulas *)
-      if brute_force cnf then
-        match Walksat.solve ~params:quick_params cnf with
-        | Walksat.Sat _, _ -> true
-        | Walksat.Unknown, _ -> false
-      else true)
-
 let qtests = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -601,6 +586,7 @@ let () =
                prop_drat_agrees_with_reference;
                prop_drat_sound_on_weakened_formula;
                prop_drat_mutated_agrees_with_reference;
+               prop_drat_fresh_variable_ids_irrelevant;
              ]
       );
       ( "restart-limit",
@@ -615,11 +601,4 @@ let () =
         :: qtests
              [ prop_assumptions_match_unit_clauses; prop_solver_reusable_across_queries ]
       );
-      ( "walksat",
-        Alcotest.test_case "finds a model" `Quick test_walksat_finds_model
-        :: Alcotest.test_case "php sat" `Quick test_walksat_php_sat
-        :: Alcotest.test_case "gives up on unsat" `Quick test_walksat_gives_up_on_unsat
-        :: Alcotest.test_case "empty clause" `Quick test_walksat_empty_clause
-        :: Alcotest.test_case "deterministic" `Quick test_walksat_deterministic
-        :: qtests [ prop_walksat_models_valid; prop_walksat_agrees_when_sat ] );
     ]

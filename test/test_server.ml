@@ -602,6 +602,75 @@ let qcheck_route_ok_line =
       P.route_ok_line ?id ~served_by (J.to_string run)
       = J.to_string (P.response_to_json (P.response ?id ~served_by ~run P.Done)))
 
+(* ---------- outside bytes: request lines and journal lines ---------- *)
+
+(* A request line comes from any client and a journal line from a file a
+   crash may have torn. [parse_request] must answer [Ok] or [Error]; a
+   replay must load each line or count it as torn ({!Outside_bytes}). *)
+let json_tokens =
+  [ "{"; "}"; "["; "]"; ":"; ","; "\""; "\\"; "\\u"; "\\u00e9"; "\\uZZZZ";
+    "\"schema\""; "\"fpgasat.req/1\""; "\"fpgasat.run/1\""; "\"op\"";
+    "\"route\""; "\"min_width\""; "\"sleep\""; "\"seconds\"";
+    "\"benchmark\""; "\"alu2\""; "\"width\""; "\"strategy\"";
+    "\"ITE-linear-2+muldirect+defs/s1\""; "\"max_seconds\""; "\"certify\"";
+    "\"cache_key\""; "\"value\""; "\"outcome\""; "\"unroutable\""; "true";
+    "false"; "null"; "1e999"; "-0.5"; "."; "-"; " "; "\t"; "\n" ]
+
+let valid_request_line =
+  J.to_string
+    (P.request_to_json
+       (P.request ~id:"r1" ~strategy:"ITE-linear-2+muldirect/s1@siege"
+          ~max_conflicts:1000 ~max_seconds:2.5 ~max_memory_mb:64
+          ~deadline_ms:100 ~certify:true ~telemetry:true ~benchmark:"alu2"
+          ~width:6 P.Route))
+
+(* Replays [text] as a whole journal and checks that every non-blank line
+   was either loaded or counted torn. *)
+let replay_journal text =
+  let path = tmp_journal () in
+  Fun.protect
+    ~finally:(fun () -> journal_cleanup path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc text;
+          output_char oc '\n');
+      let lines =
+        List.length
+          (List.filter
+             (fun l -> String.trim l <> "")
+             (String.split_on_char '\n' text))
+      in
+      let cache = Srv.Answer_cache.create () in
+      match
+        Srv.Answer_cache.attach_journal cache ~path ~to_json:Eng.Run_record.to_json
+          ~of_json:(fun j -> Result.to_option (Eng.Run_record.of_json j))
+      with
+      | Error m -> failwith ("attach_journal: " ^ m)
+      | Ok replayed ->
+          Srv.Answer_cache.detach_journal cache;
+          if replayed + Srv.Answer_cache.torn cache <> lines then
+            failwith
+              (Printf.sprintf "%d lines, %d replayed, %d torn" lines replayed
+                 (Srv.Answer_cache.torn cache)))
+
+(* A line as the server journals it: a run record plus its cache key. *)
+let valid_journal_line =
+  match List.hd (Lazy.force real_run_records) with
+  | J.Obj fields -> J.to_string (J.Obj (fields @ [ ("cache_key", J.String "k1") ]))
+  | _ -> assert false
+
+let outside_readers =
+  [
+    ( "Protocol.parse_request",
+      (fun s -> ignore (P.parse_request s)),
+      json_tokens,
+      valid_request_line );
+    ( "Answer_cache journal replay",
+      replay_journal,
+      json_tokens,
+      valid_journal_line );
+  ]
+
 (* ---------- Cnf.structural_hash ---------- *)
 
 let test_structural_hash_ignores_provenance () =
@@ -1772,6 +1841,10 @@ let qtests = List.map QCheck_alcotest.to_alcotest [ qcheck_structural_hash ]
 let protocol_qtests =
   List.map QCheck_alcotest.to_alcotest [ qcheck_route_ok_line ]
 
+let outside_qtests =
+  Outside_bytes.seeded_qtests
+    (List.concat_map Outside_bytes.never_raises outside_readers)
+
 let cache_qtests =
   List.map QCheck_alcotest.to_alcotest [ qcheck_cache_concurrent ]
 
@@ -1830,6 +1903,7 @@ let () =
             test_budget_signature_distinguishes;
         ]
         @ protocol_qtests );
+      ("outside bytes", outside_qtests);
       ("hash", Alcotest.test_case "structural hash vs provenance" `Quick
           test_structural_hash_ignores_provenance
         :: qtests );
