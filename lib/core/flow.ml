@@ -47,8 +47,8 @@ let timed f =
   let result = f () in
   (result, Unix.gettimeofday () -. t0)
 
-let decode encoded csp model =
-  let coloring = E.Csp_encode.decode encoded model in
+let decode decoder csp model =
+  let coloring = decoder model in
   if not (E.Csp.solution_ok csp coloring) then
     raise (Decode_mismatch "decoded colouring is not proper");
   coloring
@@ -180,7 +180,8 @@ let submit
         in
         let answer =
           match result with
-          | Sat.Solver.Sat model -> `Colorable (decode encoded csp model)
+          | Sat.Solver.Sat model ->
+              `Colorable (decode (E.Csp_encode.decode encoded) csp model)
           | Sat.Solver.Unsat -> `Uncolorable
           | Sat.Solver.Unknown -> `Timeout
           | Sat.Solver.Memout -> `Memout

@@ -68,13 +68,14 @@ exception Decode_mismatch of string
     sessions, including their solver-free clique and greedy answers. *)
 
 val decode :
-  Fpgasat_encodings.Csp_encode.t ->
+  (bool array -> Fpgasat_graph.Coloring.t) ->
   Fpgasat_encodings.Csp.t ->
   bool array ->
   Fpgasat_graph.Coloring.t
-(** [decode encoded csp model] reads the colouring out of a model of
-    [encoded] and checks that it is proper for [csp]. Raises
-    {!Decode_mismatch} when it is not. *)
+(** [decode decoder csp model] reads the colouring out of a model with
+    [decoder] ({!Fpgasat_encodings.Csp_encode.decode} of the encoded
+    problem, or its {!Fpgasat_encodings.Csp_encode.decoder}) and checks that
+    it is proper for [csp]. Raises {!Decode_mismatch} when it is not. *)
 
 val metered : telemetry:bool -> (unit -> 'a) -> 'a * int option
 (** Runs the thunk and, only when [telemetry], also returns the words it

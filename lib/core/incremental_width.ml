@@ -2,22 +2,29 @@ module Sat = Fpgasat_sat
 module G = Fpgasat_graph
 module E = Fpgasat_encodings
 
-type ladder = {
+(* What answers the widths strictly between the bounds: the persistent
+   solver over the encoded problem plus one selector per colour, and what
+   reads its models. Neither holds the CNF. *)
+type solving = {
   csp : E.Csp.t;
-  encoded : E.Csp_encode.t;
+  decode : bool array -> G.Coloring.t;
   solver : Sat.Solver.solver;
   selectors : Sat.Lit.var array;
+}
+
+type ladder = {
   bounds : Width_bounds.t;
   cnf_hash : int64;
+  cnf_size : int * int;
+  solving : solving option; (* [None] when the bounds meet *)
   mutable queries : int;
 }
 
-(* The encoded problem plus one selector per colour: assuming it switches
-   the colour off. The formula starts as a flat arena copy of the encoded
-   CNF (a blit, not a clause-by-clause rebuild); each selector clause
+(* One selector per colour, appended to the encoded CNF in place:
+   assuming it switches the colour off. Each selector clause
    (~sel_c | ~pattern(v, c)) expands the indexing pattern. *)
-let augment encoded ~upper =
-  let cnf = Sat.Cnf.copy encoded.E.Csp_encode.cnf in
+let add_selectors encoded ~upper =
+  let cnf = encoded.E.Csp_encode.cnf in
   let selectors = Array.init upper (fun _ -> Sat.Cnf.fresh_var cnf) in
   for v = 0 to E.Csp.num_variables encoded.E.Csp_encode.csp - 1 do
     for c = 0 to upper - 1 do
@@ -29,54 +36,72 @@ let augment encoded ~upper =
       Sat.Cnf.commit_clause cnf
     done
   done;
-  (cnf, selectors)
+  selectors
 
-let prepare ?(strategy = Strategy.best_single) graph =
-  let bounds = Width_bounds.of_graph graph in
+(* The CNF is encoded even when the bounds meet: its hash keys the
+   server's answer cache and its size goes into every run record. It is
+   garbage once the solver has loaded it. *)
+let prepare ?(strategy = Strategy.best_single) ?bounds graph =
+  let bounds =
+    match bounds with Some b -> b | None -> Width_bounds.of_graph graph
+  in
   let upper = bounds.Width_bounds.upper in
   let csp = E.Csp.make graph ~k:upper in
   let encoded =
     E.Csp_encode.encode ?symmetry:strategy.Strategy.symmetry
       strategy.Strategy.encoding csp
   in
-  let cnf, selectors = augment encoded ~upper in
-  let solver = Sat.Solver.create ~config:strategy.Strategy.solver cnf in
-  {
-    csp;
-    encoded;
-    solver;
-    selectors;
-    bounds;
-    cnf_hash = Sat.Cnf.structural_hash encoded.E.Csp_encode.cnf;
-    queries = 0;
-  }
+  let cnf = encoded.E.Csp_encode.cnf in
+  let cnf_hash = Sat.Cnf.structural_hash cnf in
+  let cnf_size = (Sat.Cnf.num_vars cnf, Sat.Cnf.num_clauses cnf) in
+  let solving =
+    if bounds.Width_bounds.lower = upper then None
+    else
+      let selectors = add_selectors encoded ~upper in
+      Some
+        {
+          csp;
+          decode = E.Csp_encode.decoder encoded;
+          solver = Sat.Solver.create ~config:strategy.Strategy.solver cnf;
+          selectors;
+        }
+  in
+  { bounds; cnf_hash; cnf_size; solving; queries = 0 }
 
 let bounds ladder = ladder.bounds
 let queries ladder = ladder.queries
-let stats ladder = Sat.Solver.solver_stats ladder.solver
-let cnf_hash ladder = ladder.cnf_hash
+let has_solver ladder = Option.is_some ladder.solving
 
-let cnf_size ladder =
-  let cnf = ladder.encoded.E.Csp_encode.cnf in
-  (Sat.Cnf.num_vars cnf, Sat.Cnf.num_clauses cnf)
+let stats ladder =
+  match ladder.solving with
+  | Some s -> Sat.Solver.solver_stats s.solver
+  | None -> Sat.Stats.create ()
+
+let cnf_hash ladder = ladder.cnf_hash
+let cnf_size ladder = ladder.cnf_size
 
 let query ?(budget = Sat.Solver.no_budget) ladder ~width =
   if width < 1 then invalid_arg "Incremental_width.query: width < 1";
-  (* the formula is sized at the DSATUR upper bound; any larger width is
-     equivalent (a colouring within [upper] colours fits it a fortiori) *)
-  let upper = ladder.bounds.Width_bounds.upper in
-  let w = min width upper in
-  ladder.queries <- ladder.queries + 1;
-  let assumptions =
-    List.init (upper - w) (fun i ->
-        Sat.Lit.pos ladder.selectors.(w + i))
-  in
-  match Sat.Solver.solve_with ~budget ~assumptions ladder.solver with
-  | Sat.Solver.Q_unsat -> `Uncolorable
-  | Sat.Solver.Q_unknown -> `Timeout
-  | Sat.Solver.Q_memout -> `Memout
-  | Sat.Solver.Q_sat model ->
-      `Colorable (Flow.decode ladder.encoded ladder.csp model)
+  let { Width_bounds.lower; upper; coloring; _ } = ladder.bounds in
+  match ladder.solving with
+  | None ->
+      (* the bounds meet: the clique refutes every width below them and
+         the DSATUR colouring fits every other *)
+      if width < lower then `Uncolorable else `Colorable coloring
+  | Some s -> (
+      (* the formula is sized at the DSATUR upper bound; any larger width
+         is equivalent (a colouring within [upper] colours fits it a
+         fortiori) *)
+      let w = min width upper in
+      ladder.queries <- ladder.queries + 1;
+      let assumptions =
+        List.init (upper - w) (fun i -> Sat.Lit.pos s.selectors.(w + i))
+      in
+      match Sat.Solver.solve_with ~budget ~assumptions s.solver with
+      | Sat.Solver.Q_unsat -> `Uncolorable
+      | Sat.Solver.Q_unknown -> `Timeout
+      | Sat.Solver.Q_memout -> `Memout
+      | Sat.Solver.Q_sat model -> `Colorable (Flow.decode s.decode s.csp model))
 
 (* walk downward; a model using fewer colours lets us skip widths, and
    [best] always holds a colouring within [w + 1] colours. When the clique

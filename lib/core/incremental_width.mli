@@ -21,36 +21,49 @@
     without re-encoding. *)
 
 type ladder
-(** An encoded colouring problem with its persistent solver and colour
-    selectors. Not thread-safe: callers serialise access (the server holds
-    one mutex per session). *)
+(** A colouring problem's {!Width_bounds} and, when they leave a gap, a
+    persistent solver over its encoding with colour selectors. When the
+    maximum clique meets the DSATUR bound the bounds answer every width
+    and the ladder holds no solver. It never holds the encoded CNF, only
+    its hash and size. Not thread-safe: callers serialise access (the
+    server holds one mutex per session). *)
 
-val prepare : ?strategy:Strategy.t -> Fpgasat_graph.Graph.t -> ladder
-(** Computes the graph's {!Width_bounds} and encodes it once at their
-    DSATUR upper bound (cold cost); every subsequent {!query} is an
-    assumption-only call on the shared solver. *)
+val prepare :
+  ?strategy:Strategy.t -> ?bounds:Width_bounds.t -> Fpgasat_graph.Graph.t -> ladder
+(** Encodes the graph once at the DSATUR upper bound of its
+    {!Width_bounds} (computed here unless [bounds], which must be the
+    graph's, is given) and takes the CNF's hash and size. When the bounds
+    meet, that is all. Otherwise the selector clauses are appended to that
+    CNF in place and a solver loads it (cold cost); every subsequent
+    {!query} is an assumption-only call on the shared solver. *)
 
 val query :
   ?budget:Fpgasat_sat.Solver.budget -> ladder -> width:int -> Flow.answer
-(** Is the graph colourable with [width] colours? The budget applies to
-    this query alone; learnt clauses persist across queries. Widths above
-    the ladder's upper bound are answered at the upper bound (equivalent:
-    a colouring within fewer colours fits a fortiori). Models are read
-    through {!Flow.decode}. An [`Uncolorable] answer holds only under the
-    selector assumptions and has no standalone refutation. Raises
-    [Invalid_argument] when [width < 1] and {!Flow.Decode_mismatch} if a
-    model fails to decode into a proper colouring. *)
+(** Is the graph colourable with [width] colours? On a ladder without a
+    solver the clique refutes every width below the bounds and the DSATUR
+    colouring answers every other, with no query. Otherwise the budget
+    applies to this query alone and learnt clauses persist across queries.
+    Widths above the ladder's upper bound are answered at the upper bound
+    (equivalent: a colouring within fewer colours fits a fortiori). Models
+    are read through {!Flow.decode}. An [`Uncolorable] answer from the
+    solver holds only under the selector assumptions and has no standalone
+    refutation. Raises [Invalid_argument] when [width < 1] and
+    {!Flow.Decode_mismatch} if a model fails to decode into a proper
+    colouring. *)
 
 val bounds : ladder -> Width_bounds.t
 (** The bracket the ladder was built with: its maximum clique, its DSATUR
     colouring and their sizes. *)
 
+val has_solver : ladder -> bool
+(** [false] exactly when the maximum clique meets the DSATUR bound. *)
+
 val queries : ladder -> int
-(** Queries answered so far. *)
+(** SAT queries answered so far. *)
 
 val stats : ladder -> Fpgasat_sat.Stats.t
 (** The shared solver's cumulative statistics — snapshot around a {!query}
-    to attribute per-query work. *)
+    to attribute per-query work. All zero on a ladder without a solver. *)
 
 val cnf_hash : ladder -> int64
 (** {!Fpgasat_sat.Cnf.structural_hash} of the encoded problem CNF (before
@@ -83,7 +96,8 @@ type search_result = {
   queries : int;
       (** SAT queries answered by the shared solver; 0 when the bounds
           meet. *)
-  stats : Fpgasat_sat.Stats.t;  (** Cumulative solver statistics. *)
+  stats : Fpgasat_sat.Stats.t;
+      (** Cumulative solver statistics; all zero when the bounds meet. *)
 }
 
 val minimal_colors :

@@ -9,7 +9,8 @@ type t = {
   symmetry : Symmetry.heuristic option;
 }
 
-let boolean_var t v s = (v * t.layout.Layout.num_slots) + s
+let slot_var layout v s = (v * layout.Layout.num_slots) + s
+let boolean_var t v s = slot_var t.layout v s
 
 let lits_of_pattern t v pattern =
   List.map
@@ -94,16 +95,23 @@ let encode ?symmetry encoding csp =
 
 exception No_selected_value of int
 
-let selected_values_of t model v =
+let selected_values layout model v =
   let slot_value s =
-    let var = boolean_var t v s in
+    let var = slot_var layout v s in
     var < Array.length model && model.(var)
   in
-  Layout.selected_values t.layout slot_value
+  Layout.selected_values layout slot_value
 
-let decode t model =
-  let n = Csp.num_variables t.csp in
-  Array.init n (fun v ->
-      match selected_values_of t model v with
-      | value :: _ -> value
-      | [] -> raise (No_selected_value v))
+let selected_values_of t model v = selected_values t.layout model v
+
+(* bound to the layout and the variable count alone, so the closure does
+   not keep the CNF alive *)
+let decoder t =
+  let layout = t.layout and n = Csp.num_variables t.csp in
+  fun model ->
+    Array.init n (fun v ->
+        match selected_values layout model v with
+        | value :: _ -> value
+        | [] -> raise (No_selected_value v))
+
+let decode t model = decoder t model

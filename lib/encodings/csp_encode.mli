@@ -37,6 +37,10 @@ val decode : t -> bool array -> Fpgasat_graph.Coloring.t
 (** Extracts a colouring from a SAT model. For non-exclusive (multivalued)
     encodings any one selected value is taken, as the paper prescribes. *)
 
+val decoder : t -> bool array -> Fpgasat_graph.Coloring.t
+(** [decoder t] is [decode t] as a closure that keeps only the layout and
+    the variable count: a caller may hold it after dropping the CNF. *)
+
 val selected_values_of : t -> bool array -> int -> int list
 (** All domain values the model selects for a CSP variable (useful for
     inspecting multivalued solutions). *)

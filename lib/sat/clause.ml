@@ -29,9 +29,11 @@ let fill t = t.fill
 let wasted t = t.wasted
 let raw t = t.arena
 
+(* a cref must fit below bit 32 of a watcher *)
 let ensure t extra =
   let cap = Array.length t.arena in
   if t.fill + extra > cap then begin
+    Watch.check "Clause.alloc" ~lits:0 ~refs:(t.fill + extra);
     let ncap = ref (2 * cap) in
     while t.fill + extra > !ncap do
       ncap := 2 * !ncap

@@ -198,26 +198,26 @@ let copy t =
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
+(* fold [x] into [h] as 8 bytes, FNV-1a style; inlined, so the loops below
+   keep the hash unboxed and allocate nothing *)
+let[@inline] mix h x =
+  let h = ref h and v = ref (Int64.of_int x) in
+  for _ = 0 to 7 do
+    let byte = Int64.logand !v 0xffL in
+    h := Int64.mul (Int64.logxor !h byte) fnv_prime;
+    v := Int64.shift_right_logical !v 8
+  done;
+  !h
+
 let structural_hash t =
-  let h = ref fnv_offset in
-  let mix x =
-    (* fold the int in as 8 bytes, FNV-1a style *)
-    let v = ref (Int64.of_int x) in
-    for _ = 0 to 7 do
-      let byte = Int64.to_int (Int64.logand !v 0xffL) in
-      h := Int64.mul (Int64.logxor !h (Int64.of_int byte)) fnv_prime;
-      v := Int64.shift_right_logical !v 8
-    done
-  in
-  mix t.nvars;
-  mix t.nclauses;
+  let h = ref (mix (mix fnv_offset t.nvars) t.nclauses) in
   for i = 0 to t.nclauses - 1 do
     let off = t.offs.(i) and len = t.lens.(i) in
     for k = off to off + len - 1 do
-      mix t.lits.(k)
+      h := mix !h t.lits.(k)
     done;
     (* terminator: distinguishes [1][2,3] from [1,2][3] *)
-    mix min_int
+    h := mix !h min_int
   done;
   !h
 

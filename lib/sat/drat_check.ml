@@ -4,10 +4,10 @@
    live in one flat int arena as [len; lit0; lit1; ...], found through a
    clause id -> offset table whose entry is -1 once the clause is deleted.
    Values are indexed by literal, the trail is an int array, and each
-   literal's watch list is a flat array of (blocker, clause id) pairs. The
-   two watched literals of a clause are always its first two slots, and
-   deletion unwatches eagerly, so a watcher visit never asks whether its
-   clause is live.
+   literal's watch list holds one-word (blocker, clause id) watchers
+   ({!Watch}). The two watched literals of a clause are always its first
+   two slots, and deletion unwatches eagerly, so a watcher visit never
+   asks whether its clause is live.
 
    Propagation is incremental: facts derived at the top level stay on a
    persistent trail across proof steps, and each RUP query assumes the
@@ -62,7 +62,7 @@ type checker = {
   mutable nclauses : int;
   (* indexed by literal: a list fires when its literal becomes true, so
      [watches.(l)] holds the clauses watching [negate l], as in [Solver] *)
-  mutable watches : wlist array;
+  mutable watches : Watch.t array;
   (* persistent top-level trail; entries above a RUP query's mark are
      temporary and undone when the query finishes *)
   mutable trail : int array;
@@ -82,40 +82,43 @@ type checker = {
   stats : stats;
 }
 
-(* Watch lists as in [Solver]: packed (blocker, clause id) pairs, two slots
-   per watcher. The blocker is some other literal of the clause; when it is
-   true the visit touches no clause memory. *)
-and wlist = { mutable wdata : int array; mutable wsize : int }
+(* Watch lists as in [Solver]: one-word watchers in {!Watch}'s layout,
+   packed and pushed by local copies of [Solver]'s functions, for the same
+   reason: they inline into the loop below. The blocker is some other
+   literal of the clause; when it is true the visit touches no clause
+   memory. *)
+let[@inline] watcher blocker cid = (blocker lsl 32) lor cid
+let[@inline] blocker_of w = w lsr 32
+let[@inline] cid_of w = w land 0xFFFF_FFFF
 
-let wl_push w blocker cid =
-  let cap = Array.length w.wdata in
-  if w.wsize + 2 > cap then begin
-    let ndata = Array.make (max 8 (2 * cap)) 0 in
-    Array.blit w.wdata 0 ndata 0 w.wsize;
-    w.wdata <- ndata
+let wl_push (w : Watch.t) blocker cid =
+  let cap = Array.length w.data in
+  if w.size = cap then begin
+    let ndata = Array.make (max 4 (2 * cap)) 0 in
+    Array.blit w.data 0 ndata 0 w.size;
+    w.data <- ndata
   end;
-  w.wdata.(w.wsize) <- blocker;
-  w.wdata.(w.wsize + 1) <- cid;
-  w.wsize <- w.wsize + 2
+  w.data.(w.size) <- watcher blocker cid;
+  w.size <- w.size + 1
 
-let wl_remove w cid =
+let wl_remove (w : Watch.t) cid =
   let i = ref 0 in
-  while !i < w.wsize && w.wdata.(!i + 1) <> cid do
-    i := !i + 2
+  while !i < w.size && cid_of w.data.(!i) <> cid do
+    incr i
   done;
-  if !i < w.wsize then begin
-    w.wdata.(!i) <- w.wdata.(w.wsize - 2);
-    w.wdata.(!i + 1) <- w.wdata.(w.wsize - 1);
-    w.wsize <- w.wsize - 2
+  if !i < w.size then begin
+    w.data.(!i) <- w.data.(w.size - 1);
+    w.size <- w.size - 1
   end
 
-let new_watches n = Array.init n (fun _ -> { wdata = [||]; wsize = 0 })
+let new_watches n = Array.init n (fun _ -> Watch.create ())
 
 (* The arena and the offset table are sized for [cnf] plus room for lemmas
    of the same average shape; both double when a proof outgrows them. *)
 let create cnf =
   let nvars = max (Cnf.num_vars cnf) 1 in
   let nclauses = Cnf.num_clauses cnf in
+  Watch.check "Drat_check" ~lits:(2 * nvars) ~refs:nclauses;
   {
     nvars;
     vals = Array.make (2 * nvars) 0;
@@ -137,6 +140,7 @@ let create cnf =
 
 let grow st v =
   if v >= st.nvars then begin
+    Watch.check "Drat_check" ~lits:(2 * (v + 1)) ~refs:0;
     let n = max (v + 1) (2 * st.nvars) in
     let extend a fresh =
       let b = fresh (2 * n) in
@@ -174,19 +178,19 @@ let propagate st =
     st.stats.propagations <- st.stats.propagations + 1;
     let false_lit = Lit.negate p in
     let ws = st.watches.(p) in
-    let wdata = ws.wdata in
-    let n = ws.wsize in
+    let data = ws.Watch.data in
+    let n = ws.Watch.size in
     let i = ref 0 and j = ref 0 in
     while !i < n do
-      let blocker = wdata.(!i) in
-      let cid = wdata.(!i + 1) in
-      i := !i + 2;
+      let w = data.(!i) in
+      let blocker = blocker_of w in
+      incr i;
       if vals.(blocker) = 1 then begin
-        wdata.(!j) <- blocker;
-        wdata.(!j + 1) <- cid;
-        j := !j + 2
+        data.(!j) <- w;
+        incr j
       end
       else begin
+        let cid = cid_of w in
         let base = offs.(cid) + 1 in
         (* make sure the false literal is at position 1 *)
         let l0 = arena.(base) in
@@ -197,9 +201,8 @@ let propagate st =
         let first = arena.(base) in
         if first <> blocker && vals.(first) = 1 then begin
           (* satisfied: keep the watcher, refresh the blocker *)
-          wdata.(!j) <- first;
-          wdata.(!j + 1) <- cid;
-          j := !j + 2
+          data.(!j) <- watcher first cid;
+          incr j
         end
         else begin
           (* find a replacement watch among positions 2.. *)
@@ -216,17 +219,15 @@ let propagate st =
           end
           else begin
             (* unit or conflicting *)
-            wdata.(!j) <- first;
-            wdata.(!j + 1) <- cid;
-            j := !j + 2;
+            data.(!j) <- watcher first cid;
+            incr j;
             if vals.(first) = -1 then begin
               conflict := true;
               st.qhead <- st.tsize;
               while !i < n do
-                wdata.(!j) <- wdata.(!i);
-                wdata.(!j + 1) <- wdata.(!i + 1);
-                i := !i + 2;
-                j := !j + 2
+                data.(!j) <- data.(!i);
+                incr i;
+                incr j
               done
             end
             else assign st first
@@ -234,7 +235,7 @@ let propagate st =
         end
       end
     done;
-    ws.wsize <- !j
+    ws.Watch.size <- !j
   done;
   !conflict
 
@@ -317,6 +318,7 @@ let add_clause st lits =
     st.arena <- a
   end;
   if st.nclauses = Array.length st.offs then begin
+    Watch.check "Drat_check" ~lits:0 ~refs:(st.nclauses + 1);
     let o = Array.make (2 * st.nclauses) (-1) in
     Array.blit st.offs 0 o 0 st.nclauses;
     st.offs <- o

@@ -6,7 +6,7 @@
     first literal; [Delete] steps remove clauses from the active set. Its
     data layout and propagation loop are those of [Solver.propagate]: one
     flat arena with each clause's length inline, values indexed by literal,
-    an int-array trail and (blocker, clause) watch pairs. Unit propagation
+    an int-array trail and one-word (blocker, clause) watchers. Unit propagation
     is incremental across proof steps via a persistent trail, so a
     bench-sized trace checks in near-linear time rather than the quadratic
     re-scan of the reference checker.
@@ -56,7 +56,10 @@ val check : Cnf.t -> Proof.t -> (stats, error) result
     [check_reference] accepts, [check] accepts, and where [check] rejects
     step [i] the reference rejects step [i] or an earlier one. (A deletion
     that repeats a literal is the one exception: [check] matches deletions
-    as literal sets, the reference as sorted lists.) *)
+    as literal sets, the reference as sorted lists.)
+
+    Raises [Invalid_argument] before allocating when [cnf]'s or [proof]'s
+    variables, or the clause ids, do not fit a watcher ({!Watch}). *)
 
 val check_reference : Cnf.t -> Proof.t -> (unit, error) result
 (** The original list-scanning RUP checker, kept as a differential-testing

@@ -10,6 +10,7 @@
 
 module Lit = Lit
 module Clause = Clause
+module Watch = Watch
 module Cnf = Cnf
 module Dimacs_cnf = Dimacs_cnf
 module Vec = Vec

@@ -6,9 +6,10 @@
     and activity-driven learnt-clause database reduction.
 
     The propagation core is cache-conscious: all clauses live in one flat
-    int arena ({!Clause}) referenced by integer crefs, watch lists are packed
-    [(blocker, cref)] int pairs so a visit whose blocker literal is already
-    satisfied never touches clause memory, the assignment holds one value
+    int arena ({!Clause}) referenced by integer crefs, each watcher is one
+    int packing a blocker literal and a cref ({!Watch}) so a visit whose
+    blocker literal is already satisfied never touches clause memory, the
+    assignment holds one value
     per literal so reading a literal's value is one load with no branch on
     its sign, and database reduction compacts the arena (relocating live
     clauses and rebuilding watches) instead of leaving lazily-deleted
@@ -134,7 +135,8 @@ val solve :
   ?config:config -> ?budget:budget -> ?proof:Proof.t -> Cnf.t -> result * Stats.t
 (** Solves the formula. When [proof] is supplied and the answer is [Unsat],
     the recorded trace ends with the empty clause (see {!Proof}). The input
-    formula is not modified. *)
+    formula is not modified. Raises [Invalid_argument], as {!create}
+    does, on a formula past a watcher's limits. *)
 
 (** {1 Incremental interface}
 
@@ -147,6 +149,11 @@ val solve :
 type solver
 
 val create : ?config:config -> ?proof:Proof.t -> Cnf.t -> solver
+(** Loads the formula. The solver keeps no reference to it. Raises
+    [Invalid_argument] before allocating when its literals or its clause
+    arena do not fit a watcher ({!Watch.max_lits}, {!Watch.max_refs}); a
+    learnt clause that would take the arena past {!Watch.max_refs} words
+    raises the same way. *)
 
 type query_result =
   | Q_sat of bool array

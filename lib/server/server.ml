@@ -46,7 +46,14 @@ type counters = {
   quarantined : int Atomic.t;
 }
 
-type session_slot = { session : Session.t; mutable last_use : int }
+(* A session under construction is a slot without a session: the latch
+   that holds back identical first requests until it is built. [name] is
+   the benchmark's canonical name, which sibling sessions share. *)
+type session_slot = {
+  name : string;
+  mutable session : Session.t option;
+  mutable last_use : int;
+}
 
 type t = {
   config : config;
@@ -56,6 +63,7 @@ type t = {
   cache : string Answer_cache.t;
   sessions : (string, session_slot) Hashtbl.t;
   sessions_mutex : Mutex.t;
+  session_built : Condition.t; (* broadcast when a build ends *)
   mutable session_tick : int;
   (* structural-hash -> worker deaths attributed to requests on that CNF *)
   poison : (string, int) Hashtbl.t;
@@ -73,14 +81,20 @@ type t = {
 let session_key benchmark strategy =
   benchmark ^ "|" ^ C.Strategy.name strategy
 
+let live_slots server =
+  Hashtbl.fold
+    (fun key slot acc ->
+      match slot.session with Some s -> (key, slot, s) :: acc | None -> acc)
+    server.sessions []
+
 let evict_lru_session server =
   let victim =
-    Hashtbl.fold
-      (fun key slot acc ->
+    List.fold_left
+      (fun acc (key, slot, _) ->
         match acc with
         | Some (_, best) when best <= slot.last_use -> acc
         | _ -> Some (key, slot.last_use))
-      server.sessions None
+      None (live_slots server)
   in
   match victim with
   | Some (key, _) -> Hashtbl.remove server.sessions key
@@ -91,35 +105,84 @@ let evict_lru_session server =
 let touch_session server key =
   server.session_tick <- server.session_tick + 1;
   match Hashtbl.find_opt server.sessions key with
-  | Some slot ->
+  | Some ({ session = Some session; _ } as slot) ->
       slot.last_use <- server.session_tick;
-      Some slot.session
-  | None -> None
+      Some session
+  | Some { session = None; _ } | None -> None
 
 let live_session server ~benchmark strategy =
   Mutex.protect server.sessions_mutex (fun () ->
       touch_session server (session_key benchmark strategy))
 
-(* Creation happens under the map mutex: the encode cost is paid once per
-   (benchmark × strategy) even when identical first requests race, at the
-   price of serialising distinct first-time encodes. *)
+let building server name =
+  Hashtbl.fold
+    (fun _ slot acc -> acc || (slot.session = None && slot.name = name))
+    server.sessions false
+
+(* Sessions are built outside the map mutex, so a build never holds up the
+   cache hits the connection threads answer from live sessions. The first
+   request for a key leaves a slot without a session behind as its latch:
+   identical requests wait for it, so each session is still built once.
+   Sessions of one benchmark share one instance and one set of bounds,
+   taken from a live sibling; a request whose only sibling is still being
+   built waits for it rather than build the benchmark a second time. A
+   build that raises removes its latch, and a waiter then builds in its
+   place. *)
 let get_session server ~benchmark strategy =
   match F.Benchmarks.find benchmark with
   | None -> Error (Printf.sprintf "unknown benchmark %S" benchmark)
   | Some spec ->
-      Mutex.protect server.sessions_mutex (fun () ->
-          let key = session_key benchmark strategy in
-          match touch_session server key with
-          | Some session -> Ok session
-          | None ->
-              let session =
-                Session.create ~benchmark strategy (F.Benchmarks.build spec)
-              in
-              if Hashtbl.length server.sessions >= server.config.max_sessions
+      let key = session_key benchmark strategy in
+      let name = spec.F.Benchmarks.name in
+      (* under the map mutex: the live session, or a claim to build it
+         (with a live sibling to share, when there is one) once no build
+         it should wait for is running *)
+      let rec claim () =
+        match touch_session server key with
+        | Some session -> `Live session
+        | None when Hashtbl.mem server.sessions key -> wait ()
+        | None -> (
+            match
+              List.find_opt
+                (fun (_, slot, _) -> slot.name = name)
+                (live_slots server)
+            with
+            | Some (_, _, sibling) -> build (Some sibling)
+            | None when building server name -> wait ()
+            | None -> build None)
+      and wait () =
+        Condition.wait server.session_built server.sessions_mutex;
+        claim ()
+      and build sibling =
+        Hashtbl.replace server.sessions key
+          { name; session = None; last_use = server.session_tick };
+        `Build sibling
+      in
+      let settle f =
+        Mutex.protect server.sessions_mutex (fun () ->
+            f ();
+            Condition.broadcast server.session_built)
+      in
+      match Mutex.protect server.sessions_mutex claim with
+      | `Live session -> Ok session
+      | `Build sibling ->
+          let session =
+            try
+              match sibling with
+              | Some s -> Session.sibling s strategy
+              | None ->
+                  Session.create ~benchmark strategy (F.Benchmarks.build spec)
+            with e ->
+              let bt = Printexc.get_raw_backtrace () in
+              settle (fun () -> Hashtbl.remove server.sessions key);
+              Printexc.raise_with_backtrace e bt
+          in
+          settle (fun () ->
+              if List.length (live_slots server) >= server.config.max_sessions
               then evict_lru_session server;
               Hashtbl.replace server.sessions key
-                { session; last_use = server.session_tick };
-              Ok session)
+                { name; session = Some session; last_use = server.session_tick });
+          Ok session
 
 (* ---------- quarantine ---------- *)
 
@@ -348,9 +411,10 @@ let run_min_width server (req : P.request) strategy ~arrival ~suspect
 let stats_json server =
   let queued, running = Eng.Pool.Persistent.backlog server.pool in
   let hits, misses, evictions = Answer_cache.stats server.cache in
-  Mutex.lock server.sessions_mutex;
-  let sessions = Hashtbl.length server.sessions in
-  Mutex.unlock server.sessions_mutex;
+  let live =
+    Mutex.protect server.sessions_mutex (fun () ->
+        List.map (fun (_, _, s) -> s) (live_slots server))
+  in
   J.Obj
     [
       ("requests", J.Int (Atomic.get server.counters.requests));
@@ -363,7 +427,8 @@ let stats_json server =
         J.Int (Atomic.get server.counters.deadline_exceeded) );
       ("quarantined", J.Int (Atomic.get server.counters.quarantined));
       ("poisoned_hashes", J.Int (quarantined_count server));
-      ("sessions", J.Int sessions);
+      ("sessions", J.Int (List.length live));
+      ("solvers", J.Int (List.length (List.filter Session.has_solver live)));
       ("cache_entries", J.Int (Answer_cache.length server.cache));
       ("cache", J.Obj
          [
@@ -746,6 +811,7 @@ let start config =
       cache;
       sessions = Hashtbl.create 16;
       sessions_mutex = Mutex.create ();
+      session_built = Condition.create ();
       session_tick = 0;
       poison = Hashtbl.create 8;
       poison_mutex = Mutex.create ();

@@ -5,7 +5,9 @@
 
     - {b Warm sessions} ({!Session}): one incremental ladder per
       benchmark × strategy, encoded on first use and reused by every
-      later width query. Widths below the session's maximum clique and
+      later width query; sessions of one benchmark share its instance
+      and bounds, and a session is built without holding up the others'
+      cache hits. Widths below the session's maximum clique and
       from the fewest colours of any colouring it has seen up are
       answered without a solver, from the stored clique or colouring. A
       certified request goes to the cold {!Fpgasat_core.Flow.submit}
@@ -110,7 +112,8 @@ val run : config -> unit
 
 val stats_json : t -> Fpgasat_obs.Json.t
 (** The same counters the protocol [stats] op returns. Alongside the
-    request/cache/session gauges: [pool.deaths] and [pool.respawns] (the
+    request/cache/session gauges ([sessions] live, [solvers] of them
+    holding a solver): [pool.deaths] and [pool.respawns] (the
     supervision history), [cache.replayed] and [cache.torn] (what the
     journal replay recovered and skipped), [deadline_exceeded] and
     [quarantined] shed counts, and [poisoned_hashes] (problems currently

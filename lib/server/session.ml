@@ -6,7 +6,7 @@ module C = Fpgasat_core
 type t = {
   benchmark : string;
   strategy : C.Strategy.t;
-  route : F.Global_route.t;
+  instance : F.Benchmarks.instance; (* shared with sibling sessions *)
   ladder : C.Incremental_width.ladder;
   cnf_vars : int;
   cnf_clauses : int;
@@ -21,9 +21,11 @@ type t = {
   best : (int * G.Coloring.t) Atomic.t;
 }
 
-let create ~benchmark strategy (inst : F.Benchmarks.instance) =
+let make ?bounds ~benchmark strategy (instance : F.Benchmarks.instance) =
   let t0 = Unix.gettimeofday () in
-  let ladder = C.Incremental_width.prepare ~strategy inst.F.Benchmarks.graph in
+  let ladder =
+    C.Incremental_width.prepare ~strategy ?bounds instance.F.Benchmarks.graph
+  in
   let { C.Width_bounds.upper; coloring; _ } =
     C.Incremental_width.bounds ladder
   in
@@ -34,7 +36,7 @@ let create ~benchmark strategy (inst : F.Benchmarks.instance) =
   {
     benchmark;
     strategy;
-    route = inst.F.Benchmarks.route;
+    instance;
     ladder;
     cnf_vars;
     cnf_clauses;
@@ -46,9 +48,17 @@ let create ~benchmark strategy (inst : F.Benchmarks.instance) =
     best = Atomic.make (upper, coloring);
   }
 
+let create ~benchmark strategy instance = make ~benchmark strategy instance
+
+let sibling t strategy =
+  make
+    ~bounds:(C.Incremental_width.bounds t.ladder)
+    ~benchmark:t.benchmark strategy t.instance
+
 let benchmark t = t.benchmark
 let strategy t = t.strategy
-let route t = t.route
+let route t = t.instance.F.Benchmarks.route
+let has_solver t = C.Incremental_width.has_solver t.ladder
 let bounds t =
   let b = C.Incremental_width.bounds t.ladder in
   C.Width_bounds.(b.lower, b.upper)
@@ -113,7 +123,7 @@ let route_warm ?(budget = Sat.Solver.no_budget) ?(telemetry = false)
     C.Flow.finish ?certify ?words_allocated ~strategy:t.strategy
       ~cnf_size:(t.cnf_vars, t.cnf_clauses)
       ~timings:{ C.Flow.to_graph = 0.; to_cnf = 0.; solving }
-      ~stats t.route ~width answer
+      ~stats (route t) ~width answer
   in
   (* below the clique, or in at least the best colouring's colours, the
      stored certificates answer without the solver, so without its lock *)

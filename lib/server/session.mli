@@ -1,11 +1,16 @@
 (** A warm solver session: one benchmark × strategy, encoded once.
 
     A session wraps a {!Fpgasat_core.Incremental_width.ladder} built from
-    the benchmark's conflict graph: the first request pays the encode
-    (plus selector construction and solver creation); every later width
-    query is an assumption-only call on the persistent solver, reusing its
-    learnt clauses. Sessions are the reason repeated queries through the
-    server beat cold [fpgasat route] invocations.
+    the benchmark's conflict graph. The first request pays the encode; a
+    session whose maximum clique meets its DSATUR bound then answers every
+    width from those bounds and holds no solver. Otherwise it holds a
+    persistent solver with colour selectors, and every later width query
+    in the gap is an assumption-only call on it, reusing its learnt
+    clauses. Sessions are the reason repeated queries through the server
+    beat cold [fpgasat route] invocations. What a session retains is the
+    benchmark instance and its bounds (both shared with its
+    {!sibling}s), its best colouring and, when it has one, the solver: not
+    the encoded CNF.
 
     A session serialises its own solver access with an internal mutex, so
     any number of server workers may hold the same session; ladder queries
@@ -20,13 +25,24 @@ val create :
   Fpgasat_core.Strategy.t ->
   Fpgasat_fpga.Benchmarks.instance ->
   t
-(** The cold part: builds the ladder (encode at the DSATUR upper bound),
-    whose {!Fpgasat_core.Width_bounds} supply the maximum clique that
-    answers [width < lower] and the DSATUR colouring that starts the
-    session's best colouring (see {!fewest_colors}), both instantly. *)
+(** The cold part: computes the instance's {!Fpgasat_core.Width_bounds}
+    and prepares the ladder (encode at the DSATUR upper bound, then a
+    solver only when the bounds leave a gap). The bounds supply the
+    maximum clique that answers [width < lower] and the DSATUR colouring
+    that starts the session's best colouring (see {!fewest_colors}), both
+    instantly. *)
+
+val sibling : t -> Fpgasat_core.Strategy.t -> t
+(** [sibling t strategy] is {!create} on [t]'s benchmark under [strategy],
+    sharing [t]'s instance and bounds instead of computing them again. The
+    new session answers exactly as one built by {!create}. *)
 
 val benchmark : t -> string
 val strategy : t -> Fpgasat_core.Strategy.t
+val has_solver : t -> bool
+(** Whether the session holds a solver: [false] exactly when its maximum
+    clique meets its DSATUR bound. *)
+
 val route : t -> Fpgasat_fpga.Global_route.t
 (** For the cold path of a certified request in the gap, at or above the
     clique bound and below {!fewest_colors}, which bypasses the ladder. *)

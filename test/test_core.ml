@@ -312,6 +312,63 @@ let props_ladder_answers_every_width =
     (E.Registry.all @ E.Registry.multi_level_extensions
     @ [ (strategy "direct-3+muldirect!unshared").Strategy.encoding ])
 
+(* Graphs whose maximum clique meets the DSATUR bound: the ladder holds
+   no solver and answers every width from the bounds. The odd cycle, with
+   clique 2 and chromatic number 3, keeps a gap and so a solver. *)
+let test_ladder_bounds_meet () =
+  let cycle n = List.init n (fun i -> (i, (i + 1) mod n)) in
+  let complete n =
+    List.concat_map
+      (fun u -> List.filter_map (fun v -> if u < v then Some (u, v) else None)
+          (List.init n Fun.id))
+      (List.init n Fun.id)
+  in
+  let graphs =
+    [
+      ("K1", 1, [], false);
+      ("empty", 4, [], false);
+      ("K4", 4, complete 4, false);
+      ("path", 5, [ (0, 1); (1, 2); (2, 3); (3, 4) ], false);
+      ("C6", 6, cycle 6, false);
+      ("C5", 5, cycle 5, true);
+    ]
+  in
+  List.iter
+    (fun encoding ->
+      List.iter
+        (fun (gname, n, edges, gap) ->
+          let ctx what =
+            Printf.sprintf "%s on %s: %s" (E.Encoding.name encoding) gname what
+          in
+          let g = G.Graph.of_edges n edges in
+          let ladder =
+            C.Incremental_width.prepare ~strategy:(Strategy.make encoding) g
+          in
+          let { C.Width_bounds.lower; upper; _ } =
+            C.Incremental_width.bounds ladder
+          in
+          Alcotest.(check bool) (ctx "bounds meet") (not gap) (lower = upper);
+          Alcotest.(check bool) (ctx "solver only for a gap") gap
+            (C.Incremental_width.has_solver ladder);
+          for width = 1 to upper + 1 do
+            let ok =
+              match
+                ( C.Incremental_width.query ladder ~width,
+                  G.Exact_coloring.k_colorable g ~k:width )
+              with
+              | `Colorable coloring, G.Exact_coloring.Colorable _ ->
+                  G.Coloring.is_proper g ~k:width coloring
+              | `Uncolorable, G.Exact_coloring.Uncolorable -> true
+              | _ -> false
+            in
+            Alcotest.(check bool) (ctx (Printf.sprintf "width %d" width)) true ok
+          done;
+          if not gap then
+            Alcotest.(check int) (ctx "no SAT query") 0
+              (C.Incremental_width.queries ladder))
+        graphs)
+    (E.Registry.all @ E.Registry.multi_level_extensions)
+
 let test_solver_assumptions_basic () =
   (* (x0 | x1) with assumption -x0 forces x1; assuming both negative is
      UNSAT under assumptions while the formula stays satisfiable *)
@@ -413,7 +470,10 @@ let () =
             test_incremental_matches_binary_search;
           Alcotest.test_case "other encodings" `Quick test_incremental_other_encodings;
         ] );
-      ("ladder", qtests props_ladder_answers_every_width);
+      ( "ladder",
+        Alcotest.test_case "ladder answers every width: clique meets DSATUR" `Quick
+          test_ladder_bounds_meet
+        :: qtests props_ladder_answers_every_width );
       ( "report",
         [
           Alcotest.test_case "seconds" `Quick test_format_seconds;

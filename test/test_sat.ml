@@ -11,6 +11,8 @@ module Luby = Fpgasat_sat.Luby
 module Heap = Fpgasat_sat.Heap
 module Vec = Fpgasat_sat.Vec
 module Proof = Fpgasat_sat.Proof
+module Watch = Fpgasat_sat.Watch
+module Drat_check = Fpgasat_sat.Drat_check
 
 let cnf_of_dimacs_lists nvars clauses =
   let cnf = Cnf.create () in
@@ -766,6 +768,40 @@ let prop_dimacs_roundtrip =
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
+(* ---------- one-word watchers ---------- *)
+
+(* A formula with one variable too many for a watcher's blocker bits is
+   refused by both watch-list users before they allocate anything sized
+   by it: Cnf only records the variable count, so the whole call stays
+   far below one array of that many literals. *)
+let test_watch_limits_refused () =
+  let cnf = Cnf.create () in
+  Cnf.ensure_vars cnf ((Watch.max_lits / 2) + 1);
+  let refused what f =
+    let before = Gc.allocated_bytes () in
+    (match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted %d variables" what (Cnf.num_vars cnf));
+    Alcotest.(check bool) (what ^ " refused before allocating") true
+      (Gc.allocated_bytes () -. before < 1e6)
+  in
+  refused "Solver.create" (fun () -> ignore (Solver.create cnf));
+  refused "Drat_check.check" (fun () ->
+      ignore (Drat_check.check cnf (Proof.create ())));
+  Alcotest.check_raises "clause references past 2^32"
+    (Invalid_argument
+       (Printf.sprintf
+          "arena: %d clause references, more than the %d a watcher holds"
+          (Watch.max_refs + 1) Watch.max_refs))
+    (fun () -> Watch.check "arena" ~lits:0 ~refs:(Watch.max_refs + 1))
+
+(* Outside bytes cannot reach the limit: DIMACS and DRAT readers refuse
+   any variable past [Dimacs.max_vars], whose literals fit. *)
+let test_watch_limit_covers_dimacs () =
+  Alcotest.(check bool) "2 * Dimacs_cnf.max_vars <= Watch.max_lits" true
+    (2 * Dimacs.max_vars <= Watch.max_lits);
+  Watch.check "dimacs" ~lits:(2 * Dimacs.max_vars) ~refs:0
+
 let () =
   Alcotest.run "sat"
     [
@@ -842,6 +878,13 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_solver_deterministic;
           Alcotest.test_case "exact work, unit mid-stream" `Quick
             test_solver_exact_work_mid_stream_unit;
+        ] );
+      ( "watch",
+        [
+          Alcotest.test_case "limits refused before allocating" `Quick
+            test_watch_limits_refused;
+          Alcotest.test_case "DIMACS variables fit" `Quick
+            test_watch_limit_covers_dimacs;
         ] );
       qsuite "solver-properties"
         [

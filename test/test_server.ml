@@ -1194,6 +1194,163 @@ let test_session_serves_from_best_coloring () =
            session))
     [ "alu2"; "C880" ]
 
+(* ---------- what a session retains ---------- *)
+
+let build name = F.Benchmarks.build (Option.get (F.Benchmarks.find name))
+
+(* On C1355 the maximum clique meets the DSATUR bound (10), so every width
+   is answered from the bounds: the session keeps no solver and no CNF,
+   and all it retains, the benchmark instance included, is smaller than
+   the encoded CNF alone. *)
+let test_session_bounds_only_is_small () =
+  let inst = build "C1355" in
+  let strat = C.Strategy.best_single in
+  let session = Srv.Session.create ~benchmark:"C1355" strat inst in
+  let lower, upper = Srv.Session.bounds session in
+  Alcotest.(check (pair int int)) "clique meets DSATUR" (10, 10) (lower, upper);
+  Alcotest.(check bool) "no solver" false (Srv.Session.has_solver session);
+  let encoded =
+    Fpgasat_encodings.Csp_encode.encode ?symmetry:strat.C.Strategy.symmetry
+      strat.C.Strategy.encoding
+      (Fpgasat_encodings.Csp.make inst.F.Benchmarks.graph ~k:upper)
+  in
+  let session_words = Obj.reachable_words (Obj.repr session) in
+  let cnf_words =
+    Obj.reachable_words (Obj.repr encoded.Fpgasat_encodings.Csp_encode.cnf)
+  in
+  if session_words >= cnf_words then
+    Alcotest.failf "session retains %d words, its encoded CNF is %d"
+      session_words cnf_words
+
+let masked (run : C.Flow.run) =
+  J.to_string
+    (Eng.Run_record.to_json
+       (Eng.Run_record.of_run ~benchmark:"b" ~wall_seconds:0.
+          {
+            run with
+            C.Flow.timings = { C.Flow.to_graph = 0.; to_cnf = 0.; solving = 0. };
+          }))
+
+(* A width request as the server answers it: certified widths in the gap
+   between the clique and the session's fewest colours go cold, every
+   other width warm. *)
+let serve session ~width ~certify =
+  let lower, _ = Srv.Session.bounds session in
+  if certify && lower <= width && width < Srv.Session.fewest_colors session
+  then
+    C.Flow.(
+      submit
+        (default_request
+        |> with_strategy (Srv.Session.strategy session)
+        |> with_certify true))
+      (Srv.Session.route session) ~width
+  else Srv.Session.route_warm ~certify session ~width
+
+(* Sessions of one benchmark share its instance and bounds, and a session
+   built from a sibling answers every width, plain and certified, exactly
+   as one built alone: same verdicts, same run records, same solver work.
+   alu2 keeps a gap (clique 6, DSATUR 7), too_large has none (7). *)
+let test_sibling_sessions_share () =
+  List.iter
+    (fun bname ->
+      let first =
+        Srv.Session.create ~benchmark:bname (strategy "direct@siege")
+          (build bname)
+      in
+      let strat = strategy "ITE-linear-2+direct/s1@siege" in
+      let shared = Srv.Session.sibling first strat in
+      let alone = Srv.Session.create ~benchmark:bname strat (build bname) in
+      Alcotest.(check bool) (bname ^ ": one route") true
+        (Srv.Session.route shared == Srv.Session.route first);
+      Alcotest.(check (pair int int)) (bname ^ ": same bounds")
+        (Srv.Session.bounds alone) (Srv.Session.bounds shared);
+      Alcotest.(check string) (bname ^ ": same CNF")
+        (Srv.Session.structural_hash alone)
+        (Srv.Session.structural_hash shared);
+      let _, upper = Srv.Session.bounds alone in
+      List.iter
+        (fun certify ->
+          for width = 1 to upper + 1 do
+            Alcotest.(check string)
+              (Printf.sprintf "%s width %d%s" bname width
+                 (if certify then " certified" else ""))
+              (masked (serve alone ~width ~certify))
+              (masked (serve shared ~width ~certify))
+          done)
+        [ false; true ])
+    [ "alu2"; "too_large" ]
+
+(* [stats] counts the live sessions that hold a solver: none for the
+   benchmarks whose clique meets the DSATUR bound, one once alu2 has a
+   session. *)
+let test_server_counts_solvers () =
+  with_server (fun server socket ->
+      let gauge key =
+        match J.find (Srv.Server.stats_json server) key with
+        | Some (J.Int n) -> n
+        | _ -> -1
+      in
+      List.iter
+        (fun (bname, width) ->
+          let resp = call_ok socket (P.request ~benchmark:bname ~width P.Route) in
+          Alcotest.(check string) (bname ^ " ok") "ok"
+            (P.status_name resp.P.status))
+        [ ("C1355", 11); ("too_large", 7) ];
+      Alcotest.(check (pair int int)) "bounds-only sessions" (2, 0)
+        (gauge "sessions", gauge "solvers");
+      ignore (call_ok socket (P.request ~benchmark:"alu2" P.Min_width));
+      Alcotest.(check (pair int int)) "alu2 holds a solver" (3, 1)
+        (gauge "sessions", gauge "solvers"))
+
+(* A session is built outside the session map's lock: cache hits on a live
+   session, answered by connection threads, do not wait for another
+   session's cold build. *)
+let test_server_hits_during_a_build () =
+  with_server (fun _server socket ->
+      let hit = P.request ~benchmark:"alu2" ~width:7 P.Route in
+      ignore (call_ok socket hit);
+      ignore (call_ok socket hit);
+      let conn =
+        match Srv.Client.connect socket with
+        | Ok c -> c
+        | Error m -> Alcotest.fail m
+      in
+      Fun.protect ~finally:(fun () -> Srv.Client.close conn) @@ fun () ->
+      let build_span = ref None in
+      let builder =
+        Thread.create
+          (fun () ->
+            let t0 = Unix.gettimeofday () in
+            ignore
+              (Srv.Client.one_shot ~socket
+                 (P.request ~benchmark:"C880" ~width:8
+                    ~strategy:"ITE-log/s1@siege" P.Route));
+            build_span := Some (t0, Unix.gettimeofday ()))
+          ()
+      in
+      let hits = ref [] in
+      while Option.is_none !build_span do
+        let t0 = Unix.gettimeofday () in
+        (match Srv.Client.call conn hit with
+        | Ok { P.served_by = Some P.Cache; _ } -> ()
+        | Ok _ -> Alcotest.fail "repeat not served from the cache"
+        | Error m -> Alcotest.fail m);
+        hits := (t0, Unix.gettimeofday ()) :: !hits;
+        Thread.delay 0.002
+      done;
+      Thread.join builder;
+      let b0, b1 = Option.get !build_span in
+      let during =
+        List.filter_map
+          (fun (t0, t1) -> if t0 >= b0 && t1 <= b1 then Some (t1 -. t0) else None)
+          !hits
+      in
+      let worst = List.fold_left Float.max 0. during in
+      if List.length during < 3 || worst > (b1 -. b0) /. 4. then
+        Alcotest.failf
+          "%d hits during a %.0f ms build, the slowest in %.1f ms"
+          (List.length during) (1000. *. (b1 -. b0)) (1000. *. worst))
+
 let test_server_concurrent_clients () =
   with_server (fun _server socket ->
       let widths = [| 5; 6; 7; 5; 6; 7 |] in
@@ -1917,6 +2074,10 @@ let () =
             `Slow test_warm_min_width_agrees_with_minimal_colors;
           Alcotest.test_case "fewest colours bound certified answers" `Slow
             test_session_fewest_colors;
+          Alcotest.test_case "bounds-only session is small" `Quick
+            test_session_bounds_only_is_small;
+          Alcotest.test_case "sibling sessions share" `Slow
+            test_sibling_sessions_share;
           Alcotest.test_case "serves from the best colouring" `Slow
             test_session_serves_from_best_coloring;
         ] );
@@ -1929,6 +2090,10 @@ let () =
             test_server_hits_skip_the_pool;
           Alcotest.test_case "certified routes warm and cold" `Slow
             test_server_certified_warm_and_cold;
+          Alcotest.test_case "stats counts solvers" `Slow
+            test_server_counts_solvers;
+          Alcotest.test_case "hits do not wait for a build" `Slow
+            test_server_hits_during_a_build;
           Alcotest.test_case "concurrent clients" `Slow
             test_server_concurrent_clients;
           Alcotest.test_case "bad requests are protocol errors" `Quick
