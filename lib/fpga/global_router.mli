@@ -4,7 +4,8 @@
     Each 2-pin subnet is routed by Dijkstra over the channel-segment graph;
     segment costs grow with present overuse and accumulated history, and the
     whole netlist is ripped up and rerouted for a few iterations — a small
-    PathFinder. Deterministic: ties break on segment ids. *)
+    PathFinder. Deterministic: ties break on segment ids, and net ids only
+    name nets, so any injective renumbering of them routes the same. *)
 
 type params = {
   iterations : int;  (** Rip-up-and-reroute rounds. *)

@@ -6,12 +6,11 @@
     (one-net-at-a-time, cannot prove unroutability — the contrast the paper
     draws in its introduction). *)
 
-val sequential : ?order:int list -> Graph.t -> Coloring.t
-(** First-fit colouring in the given vertex order (default [0 .. n-1]). *)
-
 val dsatur : Graph.t -> Coloring.t
 (** Brélaz's DSATUR: always colour the vertex with the highest saturation
-    (number of distinct colours among neighbours), ties by degree. *)
+    (number of distinct colours among neighbours), ties by higher degree
+    and then lower index, with the smallest colour no neighbour has. Uses
+    O(n + m) words. *)
 
 val upper_bound : Graph.t -> int
 (** Colours used by DSATUR — an upper bound on the chromatic number. *)

@@ -1,8 +1,8 @@
 (* Clauses live in one flat literal arena: [lits.(offs.(i)) ..
    lits.(offs.(i) + lens.(i) - 1)] are clause [i]'s literals. The arena is
    append-only and packed (offsets are ascending, [nlits] is the fill
-   pointer), which makes whole-formula copies and appends plain blits and
-   lets every consumer iterate without re-materialising clause arrays. *)
+   pointer), which lets every consumer iterate without re-materialising
+   clause arrays. *)
 
 type t = {
   mutable nvars : int;
@@ -168,31 +168,10 @@ let fold_clauses t ~init ~f =
   done;
   !acc
 
-(* --- bulk operations --------------------------------------------------- *)
-
-let append dst src =
-  if src.nvars > dst.nvars then dst.nvars <- src.nvars;
-  reserve_lits dst src.nlits;
-  Array.blit src.lits 0 dst.lits dst.nlits src.nlits;
-  reserve_clauses dst src.nclauses;
-  let base = dst.nlits in
-  for i = 0 to src.nclauses - 1 do
-    dst.offs.(dst.nclauses + i) <- src.offs.(i) + base;
-    dst.lens.(dst.nclauses + i) <- src.lens.(i)
-  done;
-  dst.nclauses <- dst.nclauses + src.nclauses;
-  dst.nlits <- dst.nlits + src.nlits
-
-let copy t =
-  let c = create ~capacity:(t.nlits, t.nclauses) () in
-  append c t;
-  c
-
 (* FNV-1a over the logical content (variable count, then each clause's
    normalised literals with a terminator). Only the packed fill is hashed —
    never spare arena capacity — so structurally identical formulas hash
-   identically regardless of growth history, and [copy]/[append] preserve
-   the hash of the copied content. Deterministic across processes (no
+   identically regardless of growth history. Deterministic across processes (no
    [Hashtbl.hash] seeding), which is what lets a solve server key its
    answer cache on it. *)
 let fnv_offset = 0xcbf29ce484222325L

@@ -4,8 +4,7 @@
     downstream consumer (solver, DPLL, DIMACS writer, DRAT
     checker) reads from. Clauses live in one flat [int array] of
     literals with an offsets index — not as boxed per-clause arrays — so
-    whole-formula traversal, copy, and append are cache-friendly and
-    allocation-free.
+    whole-formula traversal is cache-friendly and allocation-free.
 
     Light normalisation happens on insertion: literals are sorted, duplicate
     literals are removed, and tautological clauses (containing [l] and
@@ -99,23 +98,12 @@ val fold_clauses : t -> init:'a -> f:('a -> int array -> int -> int -> 'a) -> 'a
 (** [fold_clauses t ~init ~f] folds [f acc arena off len] over clauses in
     insertion order. *)
 
-(** {2 Bulk operations} *)
-
-val append : t -> t -> unit
-(** [append dst src] appends every clause of [src] to [dst] (one arena blit
-    plus an offset rebase; no per-clause work) and raises [dst]'s variable
-    count to cover [src]'s. [src] is unchanged. *)
-
-val copy : t -> t
-(** An independent copy, its arena and clause index sized exactly to the
-    source's literals and clauses. *)
-
 val structural_hash : t -> int64
 (** A 64-bit FNV-1a hash of the formula's logical content: the variable
     count and every clause's normalised literals, in insertion order.
     Deterministic across processes and runs (no randomised seeding), and a
-    function of content only — spare arena capacity, growth history, and
-    [copy]/[append] provenance do not affect it. Two formulas built by the
+    function of content only — spare arena capacity and growth history do
+    not affect it. Two formulas built by the
     same deterministic encoder from the same input always collide; distinct
     formulas collide with probability ~2^-64. The solve server keys its
     answer cache on this hash (× strategy × budget). *)

@@ -166,6 +166,76 @@ let test_router_deterministic () =
   Alcotest.(check bool) "same paths" true
     (g1.F.Global_route.paths = g2.F.Global_route.paths)
 
+(* MD5 digests of [Serial.routes_to_string] as the router has produced
+   them since the suite was calibrated: the eight bundled benchmarks, the
+   largest generated size the end-to-end benchmark routes, and two small
+   generated instances whose DSATUR bound exceeds their clique. Every
+   conflict graph, CNF, cached answer and pinned proof is built on these
+   routes, so a change to the router must leave them byte-identical. *)
+let route_pins =
+  [
+    ("alu2", "0568a7f697a1852dc011df00e50ab77b");
+    ("too_large", "bdf72ef5cc0ae9e28ecc2b6568da6aef");
+    ("alu4", "6ae975f4bcb495c775b467335a6a2c69");
+    ("C880", "ff26a4ed6df9985147c4c34387c75925");
+    ("apex7", "1c6c93b752decfd9572b2572b8a6204e");
+    ("C1355", "c61f95011701cacbf0625a96da8b1992");
+    ("vda", "c3b478db917a2782602c8bd85b47e04f");
+    ("k2", "7cfbb3f782da468b9f554a52a87c806e");
+    ("gen:g24:n900:w5:f3:l2:s2008:sat", "c27c7154f20ef784d36cdfe698919928");
+    ("gen:g5:n64:w7:f3:l2:s3:sat", "474261382c794919bd0c09a965ddf008");
+    ("gen:g7:n128:w7:f3:l2:s1:sat", "f43d8afad5a0f273115c53d19ee19e5c");
+  ]
+
+let test_router_pinned_routes () =
+  List.iter
+    (fun (name, digest) ->
+      let route =
+        match (F.Benchmarks.find name, F.Generator.of_name name) with
+        | Some spec, _ -> (F.Benchmarks.build spec).F.Benchmarks.route
+        | None, Some (p, family) -> (F.Generator.build p family).F.Generator.route
+        | None, None -> Alcotest.fail ("unknown instance " ^ name)
+      in
+      Alcotest.(check string) name digest
+        (Digest.to_hex (Digest.string (F.Serial.routes_to_string route))))
+    route_pins
+
+(* A net's id only names it: renumbering the nets injectively, with one
+   of them onto -1, must leave every path as it was. Small grids and
+   capacities make segments overused, so congestion history is at play. *)
+let prop_router_ignores_net_ids =
+  QCheck2.Test.make ~count:60 ~name:"routes ignore how nets are numbered"
+    QCheck2.Gen.(
+      let* seed = int_range 0 10_000 in
+      let* grid = int_range 3 7 in
+      let* nets = int_range 2 40 in
+      let* capacity = int_range 1 3 in
+      let* perm = shuffle_l (List.init nets Fun.id) in
+      let* onto_minus_one = int_range 0 (nets - 1) in
+      let* scale = oneofl [ 1; -1; 3; -1000 ] in
+      return (seed, grid, nets, capacity, perm, onto_minus_one, scale))
+    (fun (seed, grid, nets, capacity, perm, j, scale) ->
+      let arch = Arch.create grid in
+      let nl =
+        Netlist.random ~rng:(F.Rng.create seed) ~arch ~num_nets:nets
+          ~max_fanout:3 ~locality:2
+      in
+      let perm = Array.of_list perm in
+      let renumbered =
+        Netlist.make
+          (List.map
+             (fun (n : Netlist.net) ->
+               { n with Netlist.net_id = (scale * (perm.(n.net_id) - perm.(j))) - 1 })
+             (Array.to_list nl.Netlist.nets))
+      in
+      let routes nl =
+        F.Serial.routes_to_string
+          (F.Global_router.route
+             ~params:{ F.Global_router.default_params with capacity }
+             arch nl)
+      in
+      routes nl = routes renumbered)
+
 let test_global_route_validation () =
   let nl =
     Netlist.make [ { Netlist.net_id = 0; source = (0, 0); sinks = [ (3, 3) ] } ]
@@ -820,9 +890,11 @@ let () =
         [
           Alcotest.test_case "valid routes" `Quick test_router_produces_valid_routes;
           Alcotest.test_case "deterministic" `Quick test_router_deterministic;
+          Alcotest.test_case "pinned routes" `Quick test_router_pinned_routes;
           Alcotest.test_case "validation" `Quick test_global_route_validation;
           Alcotest.test_case "wirelength" `Quick test_wirelength_positive;
-        ] );
+        ]
+        @ qtests [ prop_router_ignores_net_ids ] );
       ( "congestion",
         [
           Alcotest.test_case "basics" `Quick test_congestion_basics;

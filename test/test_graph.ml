@@ -96,9 +96,6 @@ let petersen =
     ]
 
 let test_greedy_proper () =
-  let c = G.Greedy.sequential petersen in
-  Alcotest.(check bool) "sequential proper" true
-    (Coloring.is_proper petersen ~k:(Coloring.num_colors c) c);
   let d = G.Greedy.dsatur petersen in
   Alcotest.(check bool) "dsatur proper" true
     (Coloring.is_proper petersen ~k:(Coloring.num_colors d) d)
@@ -106,11 +103,6 @@ let test_greedy_proper () =
 let test_dsatur_triangle_exact () =
   Alcotest.(check int) "triangle" 3 (G.Greedy.upper_bound triangle);
   Alcotest.(check int) "petersen dsatur = 3" 3 (G.Greedy.upper_bound petersen)
-
-let test_greedy_custom_order () =
-  let g = Graph.of_edges 4 [ (0, 1); (2, 3) ] in
-  let c = G.Greedy.sequential ~order:[ 3; 2; 1; 0 ] g in
-  Alcotest.(check bool) "proper" true (Coloring.is_proper g ~k:2 c)
 
 let test_clique_bounds () =
   Alcotest.(check int) "triangle clique" 3 (G.Clique.lower_bound triangle);
@@ -158,6 +150,94 @@ let prop_dsatur_proper =
       let g = Graph.of_edges n edges in
       let c = G.Greedy.dsatur g in
       Coloring.is_proper g ~k:(max 1 (Coloring.num_colors c)) c)
+
+(* DSATUR as first defined: every pick recomputed the saturation of every
+   uncoloured vertex by sorting its neighbours' colours. [Greedy.dsatur]
+   keeps saturations incrementally and must colour every graph the same. *)
+let reference_dsatur g =
+  let smallest_free used =
+    let rec go c = if List.mem c used then go (c + 1) else c in
+    go 0
+  in
+  let n = Graph.num_vertices g in
+  let coloring = Array.make n (-1) in
+  let adjacent_colors = Array.make n [] in
+  let saturation v = List.length (List.sort_uniq compare adjacent_colors.(v)) in
+  let pick () =
+    let best = ref (-1) in
+    for v = 0 to n - 1 do
+      if coloring.(v) < 0 then
+        if !best < 0 then best := v
+        else
+          let sv = saturation v and sb = saturation !best in
+          if sv > sb || (sv = sb && Graph.degree g v > Graph.degree g !best) then
+            best := v
+    done;
+    !best
+  in
+  let rec loop () =
+    let v = pick () in
+    if v >= 0 then begin
+      let c = smallest_free (List.sort_uniq compare adjacent_colors.(v)) in
+      coloring.(v) <- c;
+      List.iter
+        (fun w -> adjacent_colors.(w) <- c :: adjacent_colors.(w))
+        (Graph.neighbors g v);
+      loop ()
+    end
+  in
+  loop ();
+  coloring
+
+(* Random graphs of every density, and the shapes where ties and large
+   colours gather: empty, complete, stars, and a dense core with pendant
+   vertices, whose neighbours' colours exceed their own degree. *)
+let prop_dsatur_matches_reference =
+  QCheck2.Test.make ~count:500 ~name:"DSATUR matches the reference colouring"
+    QCheck2.Gen.(
+      let* n = int_range 0 40 in
+      let vertex = int_range 0 (max 0 (n - 1)) in
+      let* shape = int_range 0 4 in
+      let* edges = list_size (int_range 0 (n * n / 2)) (pair vertex vertex) in
+      let* centre = vertex in
+      let all_pairs =
+        List.concat_map (fun u -> List.init u (fun v -> (u, v))) (List.init n Fun.id)
+      in
+      let edges =
+        match shape with
+        | 0 -> []
+        | 1 -> all_pairs
+        | 2 -> List.init n (fun v -> (centre, v)) @ edges
+        | 3 ->
+            (* a dense core on the low half, pendants on the high half *)
+            List.filter (fun (u, v) -> 2 * u < n && 2 * v < n) all_pairs
+            @ List.filter (fun (u, v) -> 2 * u >= n && 2 * v < n) edges
+        | _ -> edges
+      in
+      return (n, List.filter (fun (u, v) -> u <> v) edges))
+    (fun (n, edges) ->
+      let g = Graph.of_edges n edges in
+      G.Greedy.dsatur g = reference_dsatur g)
+
+(* O(n + m) words: a star's centre has degree n - 1, so a table of one
+   flag per vertex and colour up to the maximum degree would take n^2.
+   Smaller stars first, so such a table fails before it grows large. *)
+let test_dsatur_star_words () =
+  List.iter
+    (fun n ->
+      let g = Graph.of_edges n (List.init (n - 1) (fun v -> (0, v + 1))) in
+      let before = Gc.allocated_bytes () in
+      let c = G.Greedy.dsatur g in
+      let words = (Gc.allocated_bytes () -. before) /. 8. in
+      let m = Graph.num_edges g in
+      Alcotest.(check int) (Printf.sprintf "star of %d: colours" n) 2
+        (Coloring.num_colors c);
+      Alcotest.(check bool) (Printf.sprintf "star of %d: proper" n) true
+        (Coloring.is_proper g ~k:2 c);
+      if words > float_of_int (16 * (n + m)) then
+        Alcotest.failf "star of %d: DSATUR allocated %.0f words, more than 16 (n + m)"
+          n words)
+    [ 1_001; 20_001; 200_001 ]
 
 (* --- DIMACS .col --- *)
 
@@ -424,9 +504,16 @@ let () =
       ( "greedy",
         Alcotest.test_case "proper colourings" `Quick test_greedy_proper
         :: Alcotest.test_case "dsatur exact on small" `Quick test_dsatur_triangle_exact
-        :: Alcotest.test_case "custom order" `Quick test_greedy_custom_order
         :: Alcotest.test_case "clique bounds" `Quick test_clique_bounds
-        :: qtests [ prop_clique_le_dsatur; prop_clique_is_clique; prop_dsatur_proper ]
+        :: Alcotest.test_case "dsatur on a star in O(n + m) words" `Quick
+             test_dsatur_star_words
+        :: qtests
+             [
+               prop_clique_le_dsatur;
+               prop_clique_is_clique;
+               prop_dsatur_proper;
+               prop_dsatur_matches_reference;
+             ]
       );
       ( "maximum-clique",
         Alcotest.test_case "small graphs" `Quick test_maximum_clique

@@ -482,7 +482,7 @@ let test_gate_committed_baselines () =
   in
   Alcotest.(check bool) "perf seed passes itself" true r.Gate.ok;
   Alcotest.(check (list string))
-    "perf sections" [ "encode"; "solve"; "props"; "work" ]
+    "perf sections" [ "encode"; "instances"; "solve"; "props"; "work" ]
     (List.map (fun (s : Gate.section_report) -> s.Gate.section) r.Gate.sections);
   List.iter
     (fun (s : Gate.section_report) ->

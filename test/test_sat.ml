@@ -96,13 +96,6 @@ let test_cnf_fresh_vars () =
   Alcotest.(check int) "count" 5 (Cnf.num_vars cnf);
   Alcotest.(check (array int)) "consecutive" [| 0; 1; 2; 3; 4 |] vars
 
-let test_cnf_copy_independent () =
-  let cnf = cnf_of_dimacs_lists 2 [ [ 1; 2 ] ] in
-  let copy = Cnf.copy cnf in
-  Cnf.add_clause cnf [ Lit.pos 0 ];
-  Alcotest.(check int) "copy unchanged" 1 (Cnf.num_clauses copy);
-  Alcotest.(check int) "original grew" 2 (Cnf.num_clauses cnf)
-
 let test_cnf_views_agree () =
   let cnf = cnf_of_dimacs_lists 4 [ [ 1; -2 ]; [ 3; 4; -1 ]; [ 2 ] ] in
   (* the three access paths — views, indexed accessors, and the fold — must
@@ -137,16 +130,6 @@ let test_cnf_builder_matches_add_clause () =
     [ [ 1; -2; 3 ]; [ 2; 2; -3 ] ];
   Alcotest.(check (list (list int)))
     "builder = add_clause" (dimacs_lists a) (dimacs_lists b)
-
-let test_cnf_append () =
-  let a = cnf_of_dimacs_lists 2 [ [ 1; 2 ]; [ -1 ] ] in
-  let b = cnf_of_dimacs_lists 3 [ [ 3; -2 ] ] in
-  Cnf.append a b;
-  Alcotest.(check int) "vars raised" 3 (Cnf.num_vars a);
-  Alcotest.(check int) "clauses concatenated" 3 (Cnf.num_clauses a);
-  Alcotest.(check (list (list int)))
-    "contents" [ [ 1; 2 ]; [ -1 ]; [ -2; 3 ] ] (dimacs_lists a);
-  Alcotest.(check int) "src untouched" 1 (Cnf.num_clauses b)
 
 (* --- DIMACS --- *)
 
@@ -751,13 +734,6 @@ let prop_views_consistent =
       && Cnf.num_lits cnf
          = List.fold_left (fun n c -> n + List.length c) 0 via_fold)
 
-let prop_copy_equals_source =
-  QCheck2.Test.make ~count:200 ~name:"copy preserves clauses and vars"
-    gen_random_cnf (fun input ->
-      let cnf = build input in
-      let c = Cnf.copy cnf in
-      Cnf.num_vars c = Cnf.num_vars cnf && lit_lists c = lit_lists cnf)
-
 let prop_dimacs_roundtrip =
   QCheck2.Test.make ~count:200 ~name:"DIMACS write/parse is identity"
     gen_random_cnf (fun input ->
@@ -818,18 +794,12 @@ let () =
           Alcotest.test_case "unallocated var rejected" `Quick
             test_cnf_unallocated_var_rejected;
           Alcotest.test_case "fresh vars" `Quick test_cnf_fresh_vars;
-          Alcotest.test_case "copy independent" `Quick test_cnf_copy_independent;
           Alcotest.test_case "views agree" `Quick test_cnf_views_agree;
           Alcotest.test_case "builder matches add_clause" `Quick
             test_cnf_builder_matches_add_clause;
-          Alcotest.test_case "append" `Quick test_cnf_append;
         ] );
       qsuite "cnf-properties"
-        [
-          prop_add_clause_normalises;
-          prop_views_consistent;
-          prop_copy_equals_source;
-        ];
+        [ prop_add_clause_normalises; prop_views_consistent ];
       ( "dimacs",
         [
           Alcotest.test_case "roundtrip" `Quick test_dimacs_roundtrip;
